@@ -1,0 +1,10 @@
+"""Make the benchmark's modules and the CRIMES sources importable."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+for path in (os.path.join(os.path.dirname(os.path.dirname(HERE)), "src"),
+             HERE):
+    if path not in sys.path:
+        sys.path.insert(0, path)
