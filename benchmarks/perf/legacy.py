@@ -11,6 +11,16 @@ zero-copy PR replaced:
   state dict (the seed's per-epoch snapshot).
 * ``LegacyWordBitmap`` — the seed's list-of-ints dirty bitmap with the
   per-word Python-loop scan and the tail filter.
+* ``decode_scalar`` — the seed's field-at-a-time struct decoder, the
+  reference the fused and columnar decoders are checked against.
+* ``read_canary_table`` — the seed's dict canary-table reader: the same
+  two logical reads as ``VMIInstance.read_canary_table_slab``, decoded one
+  entry at a time with ``decode_scalar``.
+* ``LegacyVMIInstance`` — VMI with the seed's per-field task-list walk.
+* ``LegacyCanaryScanModule`` — the seed's per-entry canary scan: its own
+  ``_check_canary``/``_check_freed`` translate, dirty-filter and read
+  one entry at a time (one ``read_canary_value`` per canary).
+* ``LegacyCrimes`` — the seed's deepcopy program snapshots.
 
 The wall-clock benchmarks time these against the live implementations so
 ``BENCH_wallclock_substrate.json`` records a true before/after on the
@@ -153,40 +163,59 @@ from repro.detectors.base import Finding, Severity  # noqa: E402
 from repro.detectors.canary import CanaryScanModule, KIND_CANARY, \
     KIND_FREED  # noqa: E402
 from repro.errors import IntrospectionError  # noqa: E402
+from repro.guest.heap import CANARY_ENTRY, CANARY_TABLE_HEADER, \
+    CANARY_TABLE_MAGIC  # noqa: E402
 from repro.guest.layout import cstring  # noqa: E402
 from repro.vmi.libvmi import VMIInstance, ProcessInfo, \
     _MAX_LIST_LENGTH  # noqa: E402
 
 
+def decode_scalar(layout, data, base=0):
+    """Field-at-a-time decode of one ``layout`` record into a dict.
+
+    The seed's ``StructDef.decode``: one ``unpack_from`` per field.
+    """
+    if len(data) - base < layout.size:
+        raise IntrospectionError(
+            "buffer too small for struct %s: need %d bytes, have %d"
+            % (layout.name, layout.size, len(data) - base)
+        )
+    return {field.name: field.unpack_from(data, base)
+            for field in layout.fields}
+
+
+def read_canary_table(vmi, pid, table_va):
+    """The seed's dict canary-table reader.
+
+    Returns ``{"canary": value, "entries": [(addr, size, kind), ...]}``.
+    Charges the same two logical reads as ``vmi.read_canary_table_slab``.
+    """
+    header = decode_scalar(
+        CANARY_TABLE_HEADER,
+        vmi.read_va(table_va, CANARY_TABLE_HEADER.size, pid=pid),
+    )
+    if header["magic"] != CANARY_TABLE_MAGIC:
+        raise IntrospectionError(
+            "bad canary-table magic for pid %d: 0x%x"
+            % (pid, header["magic"])
+        )
+    entries = []
+    cursor = table_va + CANARY_TABLE_HEADER.size
+    raw = vmi.read_va(cursor, header["count"] * CANARY_ENTRY.size, pid=pid)
+    for index in range(header["count"]):
+        record = decode_scalar(CANARY_ENTRY, raw, index * CANARY_ENTRY.size)
+        entries.append((record["addr"], record["size"], record["kind"]))
+    return {"canary": header["canary"], "entries": entries}
+
+
 class LegacyVMIInstance(VMIInstance):
-    """VMI with the seed revision's per-field decode hot paths.
+    """VMI with the seed revision's per-field task-list walk.
 
     The seed's ``StructDef.decode`` was a per-field ``unpack_from`` loop
-    (today's ``decode_scalar``); both overrides below replay the seed's
-    exact call pattern so a timed scan pays the seed's host cost while
+    (:func:`decode_scalar`); the override below replays the seed's exact
+    call pattern so a timed scan pays the seed's host cost while
     charging the identical virtual time.
     """
-
-    def read_canary_table(self, pid, table_va):
-        from repro.guest.heap import CANARY_ENTRY, CANARY_TABLE_HEADER, \
-            CANARY_TABLE_MAGIC
-
-        header = CANARY_TABLE_HEADER.decode_scalar(
-            self.read_va(table_va, CANARY_TABLE_HEADER.size, pid=pid)
-        )
-        if header["magic"] != CANARY_TABLE_MAGIC:
-            raise IntrospectionError(
-                "bad canary-table magic for pid %d: 0x%x"
-                % (pid, header["magic"])
-            )
-        entries = []
-        cursor = table_va + CANARY_TABLE_HEADER.size
-        raw = self.read_va(cursor, header["count"] * CANARY_ENTRY.size,
-                           pid=pid)
-        for index in range(header["count"]):
-            record = CANARY_ENTRY.decode_scalar(raw, index * CANARY_ENTRY.size)
-            entries.append((record["addr"], record["size"], record["kind"]))
-        return {"canary": header["canary"], "entries": entries}
 
     def _linux_task_list(self):
         layout = self.profile.struct("task_struct")
@@ -194,7 +223,7 @@ class LegacyVMIInstance(VMIInstance):
         processes = []
         current = head_va
         for _ in range(_MAX_LIST_LENGTH):
-            record = layout.decode_scalar(self.read_va(current, layout.size))
+            record = decode_scalar(layout, self.read_va(current, layout.size))
             self._charge_us(self.costs.PER_PROCESS_US)
             processes.append(
                 ProcessInfo(
@@ -227,7 +256,7 @@ class LegacyCanaryScanModule(CanaryScanModule):
             return findings
         for pid, table_va in directory:
             try:
-                table = vmi.read_canary_table(pid, table_va)
+                table = read_canary_table(vmi, pid, table_va)
             except IntrospectionError:
                 findings.append(
                     Finding(
@@ -252,6 +281,34 @@ class LegacyCanaryScanModule(CanaryScanModule):
                 if finding is not None:
                     findings.append(finding)
         return findings
+
+    def _check_canary(self, context, pid, addr, size, expected):
+        vmi = context.vmi
+        try:
+            canary_pa = vmi.translate(addr + size, pid=pid)
+        except IntrospectionError:
+            return None
+        if not self.scan_all_pages and not context.page_is_dirty(
+            canary_pa // PAGE_SIZE
+        ):
+            return None
+        return self._validate_canary(context, pid, addr, size, expected,
+                                     canary_pa)
+
+    def _check_freed(self, context, pid, addr, size):
+        vmi = context.vmi
+        try:
+            region_pa = vmi.translate(addr, pid=pid)
+        except IntrospectionError:
+            return None
+        if not self.scan_all_pages:
+            # Skip unless some page of the region was dirtied this epoch.
+            first = region_pa // PAGE_SIZE
+            last = (region_pa + size - 1) // PAGE_SIZE
+            if not any(context.page_is_dirty(pfn)
+                       for pfn in range(first, last + 1)):
+                return None
+        return self._validate_freed(context, pid, addr, size, region_pa)
 
 
 class LegacyCrimes(Crimes):

@@ -12,22 +12,17 @@ hypervisor can read:
 
 At the end of each epoch this module validates the tripwires whose pages
 were dirtied during the epoch — the dirty-page filter is what makes the
-scan cheap (§5.5: ≈90,000 canaries validated per millisecond).
+scan cheap (§5.5: ≈90,000 canaries validated per millisecond). Every
+table, however small, goes through one columnar pass: the dirty filter
+runs over numpy arrays and the intact canaries are charged in bulk.
 """
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the image
-    _np = None
+import numpy as _np
 
 from repro.detectors.base import Finding, ScanModule, Severity
 from repro.errors import IntrospectionError
 from repro.guest.heap import FREED_FILL_BYTE, KIND_CANARY, KIND_FREED
 from repro.guest.memory import PAGE_SIZE
-
-#: Below this many table entries the per-entry Python filter beats the
-#: cost of building index arrays; above it the slab filter wins.
-_VECTOR_MIN_ENTRIES = 32
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 
@@ -56,23 +51,8 @@ class CanaryScanModule(ScanModule):
             return findings
         for pid, table_va in directory:
             try:
-                if _np is not None:
-                    # The slab read charges the exact same virtual time as
-                    # the dict variant; only the host-side decode differs.
-                    expected, addrs, sizes, kinds = \
-                        vmi.read_canary_table_slab(pid, table_va)
-                    if len(addrs) >= _VECTOR_MIN_ENTRIES:
-                        self._scan_table_slab(
-                            context, pid, expected, addrs, sizes, kinds,
-                            findings,
-                        )
-                        continue
-                    entries = zip(addrs.tolist(), sizes.tolist(),
-                                  kinds.tolist())
-                else:
-                    table = vmi.read_canary_table(pid, table_va)
-                    expected = table["canary"]
-                    entries = table["entries"]
+                expected, addrs, sizes, kinds = \
+                    vmi.read_canary_table_slab(pid, table_va)
             except IntrospectionError:
                 findings.append(
                     Finding(
@@ -84,17 +64,8 @@ class CanaryScanModule(ScanModule):
                     )
                 )
                 continue
-            for addr, size, kind in entries:
-                if kind == KIND_CANARY:
-                    finding = self._check_canary(
-                        context, pid, addr, size, expected
-                    )
-                elif kind == KIND_FREED and self.check_freed:
-                    finding = self._check_freed(context, pid, addr, size)
-                else:
-                    finding = None
-                if finding is not None:
-                    findings.append(finding)
+            self._scan_table_slab(context, pid, expected, addrs, sizes,
+                                  kinds, findings)
         return findings
 
     # -- slab-driven filtering ---------------------------------------------
@@ -106,19 +77,20 @@ class CanaryScanModule(ScanModule):
         The per-entry filter (``translate`` + ``page_is_dirty``) is
         uncharged host work, so vectorizing it cannot move virtual time;
         the charged reads then run for exactly the entries — in exactly
-        the table order — the scalar loop would have read.
+        the table order — a per-entry ``translate`` + read loop would
+        have read.
         """
         vmi = context.vmi
         is_canary = kinds == KIND_CANARY
         is_freed = kinds == KIND_FREED
         # The probe address whose page gates the check: the canary byte
         # for live objects, the region start for freed objects (the same
-        # VA each scalar check translates first).
+        # VA a per-entry check translates first).
         probe_va = _np.where(is_canary, addrs + sizes, addrs)
         vpns = probe_va >> _PAGE_SHIFT
         # Translate each distinct guest page once (objects are dense, so
-        # there are far fewer pages than entries); -1 marks a page the
-        # scalar path would have skipped with an IntrospectionError.
+        # there are far fewer pages than entries); -1 marks an unmapped
+        # page, whose entries are skipped.
         uniq, inverse = _np.unique(vpns, return_inverse=True)
         uniq_pfns = _np.fromiter(
             (self._pfn_of(vmi, pid, vpn) for vpn in uniq.tolist()),
@@ -152,8 +124,8 @@ class CanaryScanModule(ScanModule):
         # Gather every checked live-object canary in one vectorized read
         # up front: the domain stays paused for the whole audit, so the
         # bytes cannot change between here and each entry's turn in the
-        # charge loop below. The loop then replays the scalar path's
-        # exact per-entry charge/probe sequence — interleaved with the
+        # charge loop below. The loop then replays a per-entry read's
+        # exact charge/probe sequence — interleaved with the
         # freed-region checks in table order — without per-entry read
         # plumbing.
         memory = vmi.vm.memory
@@ -184,8 +156,7 @@ class CanaryScanModule(ScanModule):
                     run += 1
                     continue
                 if run:
-                    vmi.charge_canary_reads(run)
-                    self.canaries_checked += run
+                    self._charge_canaries(vmi, run)
                     run = 0
                 finding = self._validate_freed(
                     context, pid, int(addrs[i]), int(sizes[i]),
@@ -195,16 +166,13 @@ class CanaryScanModule(ScanModule):
                 if finding is not None:
                     findings.append(finding)
             if run:
-                vmi.charge_canary_reads(run)
-                self.canaries_checked += run
+                self._charge_canaries(vmi, run)
             return
-        charge = vmi.charge_canary_read
         vi = 0
         for pos, i in enumerate(sel_list):
             if can_list[pos]:
                 if values is not None:
-                    charge()
-                    self.canaries_checked += 1
+                    self._charge_canaries(vmi, 1)
                     if bad[vi]:
                         findings.append(self._canary_finding(
                             pid, int(addrs[i]), int(sizes[i]), expected,
@@ -215,8 +183,8 @@ class CanaryScanModule(ScanModule):
                     vi += 1
                     continue
                 # Degenerate gather (a canary hangs off the end of RAM):
-                # take the scalar path so the failing read raises at
-                # exactly this entry's turn.
+                # really read this entry's canary so the failing read
+                # raises at exactly its turn.
                 finding = self._validate_canary(
                     context, pid, int(addrs[i]), int(sizes[i]), expected,
                     int(pfns[i]) * PAGE_SIZE
@@ -231,6 +199,19 @@ class CanaryScanModule(ScanModule):
             if finding is not None:
                 findings.append(finding)
 
+    def _charge_canaries(self, vmi, count):
+        """Charge ``count`` intact canary validations and count them.
+
+        A faulted read raises after the validations before it were
+        charged; those still count as checked.
+        """
+        try:
+            vmi.charge_canary_reads(count)
+        except IntrospectionError as err:
+            self.canaries_checked += err.reads_done
+            raise
+        self.canaries_checked += count
+
     @staticmethod
     def _pfn_of(vmi, pid, vpn):
         try:
@@ -239,19 +220,6 @@ class CanaryScanModule(ScanModule):
             return -1
 
     # -- live-object canaries ----------------------------------------------
-
-    def _check_canary(self, context, pid, addr, size, expected):
-        vmi = context.vmi
-        try:
-            canary_pa = vmi.translate(addr + size, pid=pid)
-        except IntrospectionError:
-            return None
-        if not self.scan_all_pages and not context.page_is_dirty(
-            canary_pa // PAGE_SIZE
-        ):
-            return None
-        return self._validate_canary(context, pid, addr, size, expected,
-                                     canary_pa)
 
     def _validate_canary(self, context, pid, addr, size, expected, canary_pa):
         """The charged read + comparison for one dirty-page canary."""
@@ -281,21 +249,6 @@ class CanaryScanModule(ScanModule):
         )
 
     # -- freed-region poison fills -------------------------------------------
-
-    def _check_freed(self, context, pid, addr, size):
-        vmi = context.vmi
-        try:
-            region_pa = vmi.translate(addr, pid=pid)
-        except IntrospectionError:
-            return None
-        if not self.scan_all_pages:
-            # Skip unless some page of the region was dirtied this epoch.
-            first = region_pa // PAGE_SIZE
-            last = (region_pa + size - 1) // PAGE_SIZE
-            if not any(context.page_is_dirty(pfn)
-                       for pfn in range(first, last + 1)):
-                return None
-        return self._validate_freed(context, pid, addr, size, region_pa)
 
     def _validate_freed(self, context, pid, addr, size, region_pa):
         """The charged read + poison check for one dirty freed region."""

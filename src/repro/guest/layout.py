@@ -9,6 +9,8 @@ real kernel agree via debug symbols.
 
 import struct as _struct
 
+import numpy as _np
+
 from repro.errors import IntrospectionError
 
 _SCALARS = {
@@ -124,15 +126,6 @@ class StructDef:
             )
         return dict(zip(self.names, self._fused.unpack_from(data, base)))
 
-    def decode_scalar(self, data, base=0):
-        """Field-at-a-time reference decoder (kept for equivalence tests)."""
-        if len(data) - base < self.size:
-            raise IntrospectionError(
-                "buffer too small for struct %s: need %d bytes, have %d"
-                % (self.name, self.size, len(data) - base)
-            )
-        return {field.name: field.unpack_from(data, base) for field in self.fields}
-
     def unpack(self, data, base=0):
         """Decode one record into a value tuple ordered like ``names``."""
         if len(data) - base < self.size:
@@ -142,38 +135,20 @@ class StructDef:
             )
         return self._fused.unpack_from(data, base)
 
-    def unpack_slab(self, data, count, base=0):
-        """Decode ``count`` contiguous records from a slab in one pass.
-
-        Returns an iterator of value tuples (ordered like ``names``) —
-        the vectorized equivalent of calling :meth:`decode` ``count``
-        times with a stride of ``size``.
-        """
-        need = count * self.size
-        if len(data) - base < need:
-            raise IntrospectionError(
-                "slab too small for %d x struct %s: need %d bytes, have %d"
-                % (count, self.name, need, len(data) - base)
-            )
-        view = memoryview(data)[base:base + need]
-        return self._fused.iter_unpack(view)
-
     def numpy_dtype(self):
         """The numpy structured dtype matching this packed record layout.
 
         ``np.frombuffer(slab, dtype=layout.numpy_dtype())`` views a slab of
-        contiguous records as a columnar record array without copying — the
-        array counterpart of :meth:`unpack_slab`. Raises ImportError when
-        numpy is unavailable; callers gate on their own guarded import.
+        contiguous records as a columnar record array without copying —
+        the vectorized equivalent of :meth:`unpack` at a stride of ``size``.
         """
         if self._np_dtype is None:
-            import numpy as np
             formats = [
                 "S%d" % field.size if field._fmt is None
                 else _NUMPY_FORMATS[field.code]
                 for field in self.fields
             ]
-            self._np_dtype = np.dtype({
+            self._np_dtype = _np.dtype({
                 "names": list(self.names),
                 "formats": formats,
                 "offsets": [field.offset for field in self.fields],

@@ -7,25 +7,20 @@ over a word-array bitmap, and both report visit statistics the cost model
 converts into virtual time (Figure 6b).
 
 The bitmap is backed by a flat ``bytearray`` (one bit per frame, 64-bit
-words stored little-endian) so the optimized scan can extract the dirty
-set in bulk — through ``numpy`` when available, or a word-at-a-time
-``memoryview`` cast otherwise — instead of a per-word Python loop. The
-reported :class:`ScanStats` are bit-identical either way: the *virtual*
-cost of a scan is a function of the bitmap contents, never of the host
-implementation.
+words stored little-endian) so the optimized scan extracts the dirty set
+in bulk through ``numpy`` instead of a per-word Python loop. The reported
+:class:`ScanStats` are a function of the bitmap contents, never of the
+host implementation: the *virtual* cost of a scan depends only on which
+words are non-zero.
 """
 
 import sys
 
+import numpy as _np
+
 from repro.errors import HypervisorError
 
-try:  # optional accelerator: the container may not ship numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback paths
-    _np = None
-
 WORD_BITS = 64
-_WORD_MASK = (1 << WORD_BITS) - 1
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 try:
@@ -63,12 +58,6 @@ class DirtyBitmap:
         self.word_count = (frame_count + WORD_BITS - 1) // WORD_BITS
         self._bits = bytearray(self.word_count * 8)
         self._dirty_count = 0
-        # Mask for the final (possibly partial) word: bits at or beyond
-        # frame_count can never be set through the public API, but the
-        # scans mask them anyway so a corrupted tail cannot leak bogus
-        # pfns into the dirty set.
-        tail_bits = frame_count - (self.word_count - 1) * WORD_BITS
-        self._final_word_mask = (1 << tail_bits) - 1
 
     def set(self, pfn):
         if not (0 <= pfn < self.frame_count):
@@ -193,45 +182,20 @@ class DirtyBitmap:
     def scan_by_words(self):
         """CRIMES scan: skip zero words, expand only non-zero ones.
 
-        Extracted in bulk (numpy when available); the final partial word
-        is masked once instead of tail-filtering the whole result list.
+        The dirty set is extracted in one vectorized pass; slicing the
+        unpacked bits to ``frame_count`` masks the final partial word's
+        tail. Only the non-zero words count as visited bits.
         """
-        if _np is not None:
-            dirty, nonzero_words = self._scan_bulk()
-        else:
-            dirty, nonzero_words = self._scan_words_python()
+        raw = _np.frombuffer(self._bits, dtype=_np.uint8)
+        bits = _np.unpackbits(raw, bitorder="little")
+        dirty = _np.flatnonzero(bits[: self.frame_count]).tolist()
+        words = _np.frombuffer(self._bits, dtype=_np.uint64)
         stats = ScanStats(
             words_visited=self.word_count,
-            bits_visited=nonzero_words * WORD_BITS,
+            bits_visited=int(_np.count_nonzero(words)) * WORD_BITS,
             dirty_found=len(dirty),
         )
         return dirty, stats
-
-    def _scan_bulk(self):
-        """Vectorized dirty-set extraction; same results as the fallback."""
-        raw = _np.frombuffer(self._bits, dtype=_np.uint8)
-        bits = _np.unpackbits(raw, bitorder="little")
-        # Slicing to frame_count masks the final partial word's tail.
-        dirty = _np.flatnonzero(bits[: self.frame_count]).tolist()
-        words = _np.frombuffer(self._bits, dtype=_np.uint64)
-        return dirty, int(_np.count_nonzero(words))
-
-    def _scan_words_python(self):
-        dirty = []
-        nonzero_words = 0
-        last_index = self.word_count - 1
-        for word_index, word in enumerate(self._word_values()):
-            if word == 0:
-                continue
-            nonzero_words += 1
-            if word_index == last_index:
-                word &= self._final_word_mask
-            base = word_index * WORD_BITS
-            while word:
-                low = word & -word
-                dirty.append(base + low.bit_length() - 1)
-                word ^= low
-        return dirty, nonzero_words
 
     def harvest(self, optimized):
         """Scan with the selected strategy, then clear (read-and-reset).

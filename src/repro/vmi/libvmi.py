@@ -10,10 +10,7 @@ walking CR3 — the mapping consulted is identical.
 
 import struct
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the image
-    _np = None
+import numpy as _np
 
 from repro.errors import IntrospectionError
 from repro.faults.planes import FaultPlane
@@ -129,17 +126,25 @@ class VMIInstance:
         mapping — it must not scale with how finely the accounting layer
         itemises the bytes it moved.
         """
+        fault = self._armed_read_fault()
+        if fault is not None:
+            self._cost_ms += self._read_fault_ms(fault)
+
+    def _armed_read_fault(self):
+        """The VMI_READ plane's active fault this epoch, or None."""
         injector = self._injector
         if injector is None:
-            return
-        fault = injector.check(FaultPlane.VMI_READ)
-        if fault is None:
-            return
+            return None
+        return injector.check(FaultPlane.VMI_READ)
+
+    @staticmethod
+    def _read_fault_ms(fault):
+        """Probe ``fault`` for one logical read; the latency it adds."""
         if fault.mode == "latency":
             # A slow mapping path: the read pays the fault's magnitude
             # on top of its modeled cost.
-            self._cost_ms += fault.magnitude_ms
-        elif fault.fires():
+            return fault.magnitude_ms
+        if fault.fires():
             # "fail"/"corrupt": the foreign mapping tears or the bytes
             # are garbage — surfaces as the same error a real LibVMI
             # read failure produces, and the audit loop's escalation
@@ -148,6 +153,7 @@ class VMIInstance:
                 "VMI read fault injected (epoch %d, %s)"
                 % (fault.epoch, fault.mode)
             )
+        return 0.0
 
     def _charge_us(self, us):
         return self._charge_ms(us / 1000.0)
@@ -418,40 +424,14 @@ class VMIInstance:
             cursor += entry_layout.size
         return entries
 
-    def read_canary_table(self, pid, table_va):
+    def read_canary_table_slab(self, pid, table_va):
         """Read one process's tripwire table.
 
-        Returns ``{"canary": value, "entries": [(addr, size, kind), ...]}``
-        where kind is ``KIND_CANARY`` (live object, canary bytes follow)
-        or ``KIND_FREED`` (poison-filled freed region).
-        """
-        from repro.guest.heap import CANARY_ENTRY, CANARY_TABLE_HEADER, \
-            CANARY_TABLE_MAGIC
-
-        header = CANARY_TABLE_HEADER.decode(
-            self.read_va(table_va, CANARY_TABLE_HEADER.size, pid=pid)
-        )
-        if header["magic"] != CANARY_TABLE_MAGIC:
-            raise IntrospectionError(
-                "bad canary-table magic for pid %d: 0x%x" % (pid, header["magic"])
-            )
-        count = header["count"]
-        cursor = table_va + CANARY_TABLE_HEADER.size
-        # One bulk read (already a single logical mapping), then one
-        # slab-decode pass — no per-entry unpack calls or dict builds.
-        raw = self.read_va(cursor, count * CANARY_ENTRY.size, pid=pid)
-        entries = [(addr, size, kind) for addr, size, kind, _pad
-                   in CANARY_ENTRY.unpack_slab(raw, count)]
-        return {"canary": header["canary"], "entries": entries}
-
-    def read_canary_table_slab(self, pid, table_va):
-        """Columnar variant of :meth:`read_canary_table`.
-
-        Returns ``(canary, addrs, sizes, kinds)`` where the last three are
-        numpy arrays viewing the slab bytes directly (no per-entry tuples).
-        Performs the exact same two logical reads as the dict variant, so
-        the charged virtual time — and the jitter-stream draw sequence —
-        is bit-identical; only the host-side decode differs.
+        Returns ``(canary, addrs, sizes, kinds)``: the table's canary
+        value and three numpy arrays viewing the entry slab directly (no
+        per-entry tuples). A kind is ``KIND_CANARY`` (live object, canary
+        bytes follow) or ``KIND_FREED`` (poison-filled freed region).
+        Two logical reads — the header, then the whole entry slab.
         """
         from repro.guest.heap import CANARY_ENTRY, CANARY_TABLE_HEADER, \
             CANARY_TABLE_MAGIC
@@ -483,50 +463,38 @@ class VMIInstance:
         self._charge_us(self.costs.PER_CANARY_US)
         return struct.unpack("<Q", raw)[0]
 
-    def charge_canary_read(self):
-        """Charge one canary validation without moving the bytes.
-
-        Virtual-time twin of :meth:`read_canary_value`: the same
-        cache-line read charge, the same per-mapping fault probe, the
-        same per-canary charge — two jitter draws in the identical
-        order. The slab scan pairs this with one vectorized gather of
-        the canary values, so a dirty epoch's thousands of validations
-        stop paying the per-call read plumbing.
-        """
-        self._charge_us(
-            self.costs.PER_PAGE_READ_US * max(8, 64) / float(PAGE_SIZE)
-        )
-        self._probe_read_fault()
-        self._charge_us(self.costs.PER_CANARY_US)
-
     def charge_canary_reads(self, count):
-        """Charge ``count`` consecutive canary validations in one loop.
+        """Charge ``count`` canary validations without moving the bytes.
 
-        Draw-for-draw identical to ``count`` calls of
-        :meth:`charge_canary_read` — the accumulator is threaded through
-        a local so every float addition happens in the same order. When
-        the VMI_READ plane is quiet this epoch the per-read fault probe
-        is a guaranteed-miss dict lookup, so the whole run needs just
-        one check; with an active fault the per-entry path runs, because
-        probes then consume the fault's bounded-shot budget one read at
-        a time.
+        Per validation this is draw-for-draw the virtual time of
+        :meth:`read_canary_value`: the cache-line read charge, the
+        per-mapping fault probe, then the per-canary charge, added to
+        the accumulator in that order. The canary scan pairs this with
+        one vectorized gather of the canary values, so a dirty epoch's
+        thousands of validations stop paying the per-call read plumbing.
+        The fault is probed per read only when the VMI_READ plane is
+        armed this epoch. A fail-mode fault raises at its read with the
+        reads before it charged; the error's ``reads_done`` counts them.
         """
-        injector = self._injector
-        if (injector is not None
-                and injector.check(FaultPlane.VMI_READ) is not None):
-            for _ in range(count):
-                self.charge_canary_read()
-            return
         jitter = self._jitter_rng.jitter
         fraction = self.costs.JITTER
         read_ms = (self.costs.PER_PAGE_READ_US * max(8, 64)
                    / float(PAGE_SIZE)) / 1000.0
         canary_ms = self.costs.PER_CANARY_US / 1000.0
+        fault = self._armed_read_fault()
         cost = self._cost_ms
-        for _ in range(count):
-            cost += jitter(read_ms, fraction)
-            cost += jitter(canary_ms, fraction)
-        self._cost_ms = cost
+        done = 0
+        try:
+            for done in range(count):
+                cost += jitter(read_ms, fraction)
+                if fault is not None:
+                    cost += self._read_fault_ms(fault)
+                cost += jitter(canary_ms, fraction)
+        except IntrospectionError as err:
+            err.reads_done = done
+            raise
+        finally:
+            self._cost_ms = cost
 
     def list_sockets(self):
         """Open TCP endpoints, live (Linux socket list / Windows pool)."""

@@ -1,26 +1,29 @@
 """Golden-equivalence properties for the vectorized epoch hot paths.
 
-The speed PR rewrote three hot paths — struct decoding, the canary scan,
-and checkpoint harvest+stage/commit/rollback — while keeping the seed
-revision's reference implementations alive (``StructDef.decode_scalar``
-and ``benchmarks/perf/legacy.py``). These properties pin the contract
-the wall-clock benchmarks rely on: over *arbitrary* inputs, the fast
-paths produce bit-identical results — same decoded values, same
-findings, same counters, and (the sharp edge) the exact same sequence
-of charged virtual time, so the deterministic timeline cannot fork.
+Three hot paths — struct decoding, the canary scan, and checkpoint
+harvest+stage/commit/rollback — each have one vectorized implementation;
+the seed revision's reference implementations live on in
+``benchmarks/perf/legacy.py``. These properties pin the contract the
+benchmarks rely on: over *arbitrary* inputs (empty and tiny canary
+tables included, with and without an armed VMI_READ fault), the
+vectorized paths produce bit-identical results — same decoded values,
+same findings, same counters, the same raise point, and (the sharp edge)
+the exact same sequence of charged virtual time, so the deterministic
+timeline cannot fork.
 """
 
 import os
 import sys
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-np = pytest.importorskip("numpy")
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from repro.checkpoint.checkpointer import Checkpointer
 from repro.detectors.base import ScanContext
 from repro.detectors.canary import CanaryScanModule
+from repro.errors import IntrospectionError
+from repro.faults import FaultPlan, FaultPlane, FaultSchedule
+from repro.faults.injector import FaultInjector
 from repro.guest.layout import StructDef
 from repro.guest.linux import LinuxGuest
 from repro.guest.memory import PAGE_SIZE
@@ -29,7 +32,11 @@ from repro.vmi.libvmi import VMIInstance
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "..", "benchmarks", "perf"))
-from legacy import LegacyCanaryScanModule, LegacyCheckpointer  # noqa: E402
+from legacy import (  # noqa: E402
+    LegacyCanaryScanModule,
+    LegacyCheckpointer,
+    decode_scalar,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +66,9 @@ def _layout_and_slab(draw):
 @settings(max_examples=60, deadline=None)
 @given(example=_layout_and_slab())
 def test_struct_decoders_agree(example):
-    """decode / unpack / unpack_slab / numpy view all match decode_scalar."""
+    """decode / unpack / numpy view all match the per-field reference."""
     layout, count, slab = example
-    records = [layout.decode_scalar(slab, i * layout.size)
+    records = [decode_scalar(layout, slab, i * layout.size)
                for i in range(count)]
 
     for i, reference in enumerate(records):
@@ -70,10 +77,6 @@ def test_struct_decoders_agree(example):
         assert layout.unpack(slab, base) == tuple(
             reference[name] for name in layout.names
         )
-
-    slab_rows = list(layout.unpack_slab(slab, count))
-    assert slab_rows == [layout.unpack(slab, i * layout.size)
-                         for i in range(count)]
 
     array = np.frombuffer(slab[:count * layout.size],
                           dtype=layout.numpy_dtype())
@@ -95,10 +98,11 @@ def test_struct_decoders_agree(example):
 
 @st.composite
 def _heap_scenario(draw):
-    sizes = draw(st.lists(st.integers(8, 160), min_size=40, max_size=80))
+    sizes = draw(st.lists(st.integers(8, 160), min_size=0, max_size=80))
     n = len(sizes)
-    freed = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
-    clobbered = draw(st.sets(st.integers(0, n - 1), max_size=4)) - freed
+    index = st.integers(0, max(n - 1, 0))
+    freed = draw(st.sets(index, max_size=n // 3))
+    clobbered = draw(st.sets(index, max_size=min(n, 4))) - freed
     if freed:
         scribbled = draw(st.sets(st.sampled_from(sorted(freed)), max_size=3))
     else:
@@ -117,13 +121,16 @@ def _heap_scenario(draw):
     }
 
 
-def _scan_once(scenario, module):
+def _scan_once(scenario, module, injector=None):
     """Build one guest from the scenario and run ``module`` over it.
 
     Both calls of a property example build byte-identical guests and
     identically-seeded VMI instances (same guest *name*, which seeds the
     jitter stream), so any divergence in the returned tuple is the scan
-    implementation's fault.
+    implementation's fault. ``injector`` (fresh per call) routes the
+    scan's reads through a VMI_READ fault; a raised IntrospectionError
+    is returned as its message, with the findings of the aborted scan
+    left out.
     """
     vm = LinuxGuest(name="prop-vec", memory_bytes=4 * 1024 * 1024, seed=9)
     domain = Hypervisor(clock=vm.clock).create_domain(vm)
@@ -153,18 +160,38 @@ def _scan_once(scenario, module):
                     < scenario["dirty_pct"]:
                 dirty.add(pfn)
     vmi.take_cost_ms()  # drain init/preprocess cost before the scan
+    if injector is not None:
+        vmi.attach_injector(injector)
 
-    findings = module.scan(ScanContext(vmi, dirty_pfns=dirty))
+    error = None
+    try:
+        findings = module.scan(ScanContext(vmi, dirty_pfns=dirty))
+    except IntrospectionError as err:
+        findings, error = [], str(err)
     return (
         [(f.kind, f.severity, f.summary, f.details) for f in findings],
         module.canaries_checked,
         module.freed_regions_checked,
         vmi.take_cost_ms(),
+        error,
     )
+
+
+def _scenario(sizes, **overrides):
+    """A fixed heap scenario (the explicit small-table examples)."""
+    scenario = {"sizes": sizes, "freed": [], "clobbered": [],
+                "scribbled": [], "dirty_salt": 0, "dirty_pct": 100,
+                "scan_all": False}
+    scenario.update(overrides)
+    return scenario
 
 
 @settings(max_examples=25, deadline=None)
 @given(scenario=_heap_scenario())
+@example(scenario=_scenario([]))
+@example(scenario=_scenario([16], clobbered=[0]))
+@example(scenario=_scenario([8, 24, 40, 64], freed=[1], scribbled=[1],
+                            clobbered=[3]))
 def test_slab_canary_scan_matches_seed_loop(scenario):
     """Same findings, same counters, bit-identical charged time."""
     fast = _scan_once(scenario, CanaryScanModule())
@@ -189,6 +216,98 @@ def test_scan_all_pages_ignores_dirty_filter(scenario):
     # free() converts the object's canary entry into a freed entry in
     # place, so the table always holds one entry per allocation.
     assert fast[1] + fast[2] == len(scenario["sizes"])
+
+
+# ---------------------------------------------------------------------------
+# Canary scan under an armed VMI_READ fault: one charging loop, probed per
+# read, must replay the per-entry seed loop's probes, raise and time
+# ---------------------------------------------------------------------------
+
+def _plan_injector(schedule):
+    """A real injector with the VMI_READ plane armed for epoch 1."""
+    injector = FaultInjector(
+        FaultPlan.single(FaultPlane.VMI_READ, schedule, seed=7))
+    injector.begin_epoch(1)
+    assert injector.check(FaultPlane.VMI_READ) is not None
+    return injector
+
+
+class _DelayedReadFault:
+    """A fail-mode fault that lets ``skip`` reads through, then fires for
+    ``shots`` reads — lands the raise at any read of the scan."""
+
+    mode = "fail"
+    magnitude_ms = 0.0
+    epoch = 1
+
+    def __init__(self, skip, shots):
+        self._skip = skip
+        self._shots = shots
+        self.probes = 0
+
+    def fires(self):
+        self.probes += 1
+        if self._skip:
+            self._skip -= 1
+            return False
+        if self._shots:
+            self._shots -= 1
+            return True
+        return False
+
+
+class _DelayedInjector:
+    def __init__(self, skip, shots):
+        self.fault = _DelayedReadFault(skip, shots)
+
+    def check(self, plane):
+        return self.fault if plane is FaultPlane.VMI_READ else None
+
+
+_PLANNED_READ_FAULTS = st.one_of(
+    st.sampled_from([0.0, 0.25, 3.0]).map(
+        lambda ms: FaultSchedule.persistent(mode="latency", magnitude_ms=ms)),
+    st.integers(1, 3).map(
+        lambda shots: FaultSchedule.transient(probability=1.0,
+                                              fail_attempts=shots)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenario=_heap_scenario(), schedule=_PLANNED_READ_FAULTS)
+@example(scenario=_scenario([]),
+         schedule=FaultSchedule.persistent(mode="latency", magnitude_ms=0.25))
+@example(scenario=_scenario([16, 32], freed=[0]),
+         schedule=FaultSchedule.persistent(mode="latency", magnitude_ms=3.0))
+def test_planned_read_fault_matches_seed_loop(scenario, schedule):
+    """A latency fault charges every read once, in seed order; a fail
+    fault with a shot budget raises (or is absorbed) at the same read.
+    Findings, counters and charged time all stay float-equal."""
+    fast = _scan_once(scenario, CanaryScanModule(),
+                      _plan_injector(schedule))
+    reference = _scan_once(scenario, LegacyCanaryScanModule(),
+                           _plan_injector(schedule))
+    assert fast == reference
+    if schedule.mode == "latency":
+        assert fast[4] is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=_heap_scenario(), skip=st.integers(0, 120),
+       shots=st.integers(1, 3))
+@example(scenario=_scenario([16] * 40), skip=30, shots=1)
+@example(scenario=_scenario([16, 24, 32], freed=[1]), skip=4, shots=2)
+def test_mid_scan_fail_fault_raises_like_seed_loop(scenario, skip, shots):
+    """A fail fault landing at any read — including inside a bulk run of
+    canary charges — raises at the same read, with the same canaries
+    counted and the same time charged up to and including it."""
+    fast_injector = _DelayedInjector(skip, shots)
+    reference_injector = _DelayedInjector(skip, shots)
+    fast = _scan_once(scenario, CanaryScanModule(), fast_injector)
+    reference = _scan_once(scenario, LegacyCanaryScanModule(),
+                           reference_injector)
+    assert fast == reference
+    assert fast_injector.fault.probes == reference_injector.fault.probes
 
 
 # ---------------------------------------------------------------------------

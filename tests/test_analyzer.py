@@ -90,17 +90,19 @@ def build_replay_fixture(linux_domain):
     # Locate the corrupted canary exactly as the detector would.
     from repro.guest.heap import KIND_CANARY
 
-    table = vmi.read_canary_table(process.pid, 0x70000000)
+    expected, addrs, sizes, kinds = vmi.read_canary_table_slab(
+        process.pid, 0x70000000)
     corrupted = None
-    for addr, size, kind in table["entries"]:
+    for addr, size, kind in zip(addrs.tolist(), sizes.tolist(),
+                                kinds.tolist()):
         if kind != KIND_CANARY:
             continue
         value = vmi.read_canary_value(process.pid, addr, size)
-        if value != table["canary"]:
+        if value != expected:
             corrupted = (addr, size)
     assert corrupted is not None
     canary_pa = vmi.translate(corrupted[0] + corrupted[1], pid=process.pid)
-    return program, clean_state, checkpointer, vmi, canary_pa, table["canary"]
+    return program, clean_state, checkpointer, vmi, canary_pa, expected
 
 
 class TestReplayEngine:

@@ -217,11 +217,15 @@ def test_scan_stats_identical_across_backends():
     """words/bits visited are functions of bitmap content, not backend."""
     from repro.hypervisor import dirty as dirty_module
 
+    pfns = (0, 1, 64, 300, 644)
     bitmap = DirtyBitmap(64 * 10 + 5)
-    for pfn in (0, 1, 64, 300, 644):
+    for pfn in pfns:
         bitmap.set(pfn)
     fast, fast_stats = bitmap.scan_by_words()
-    slow, slow_count = bitmap._scan_words_python()
-    assert fast == slow
-    assert fast_stats.bits_visited == slow_count * dirty_module.WORD_BITS
-    assert fast_stats.words_visited == bitmap.word_count
+    slow, slow_stats = bitmap.scan_bit_by_bit()
+    assert fast == slow == list(pfns)
+    nonzero_words = len({pfn // dirty_module.WORD_BITS for pfn in pfns})
+    assert fast_stats.bits_visited == nonzero_words * dirty_module.WORD_BITS
+    assert fast_stats.words_visited == slow_stats.words_visited \
+        == bitmap.word_count
+    assert fast_stats.dirty_found == slow_stats.dirty_found == len(pfns)

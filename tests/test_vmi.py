@@ -91,10 +91,12 @@ def test_canary_directory_and_table(vmi, linux_domain):
     process.free(freed)
     directory = vmi.canary_directory()
     assert (process.pid, 0x70000000) in directory
-    table = vmi.read_canary_table(process.pid, 0x70000000)
-    assert table["canary"] == process.heap.canary_value
-    assert (addr, 80, KIND_CANARY) in table["entries"]
-    assert (freed, 32, KIND_FREED) in table["entries"]
+    canary, addrs, sizes, kinds = vmi.read_canary_table_slab(
+        process.pid, 0x70000000)
+    assert canary == process.heap.canary_value
+    entries = list(zip(addrs.tolist(), sizes.tolist(), kinds.tolist()))
+    assert (addr, 80, KIND_CANARY) in entries
+    assert (freed, 32, KIND_FREED) in entries
 
 
 def test_read_canary_value_matches_memory(vmi, linux_domain):

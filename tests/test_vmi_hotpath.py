@@ -128,8 +128,9 @@ class TestLatencyFaultChargingUnit:
         pid, table_va = entry
 
         def op(vmi):
-            table = vmi.read_canary_table(pid, table_va)
-            assert len(table["entries"]) >= 64
+            _canary, addrs, _sizes, _kinds = vmi.read_canary_table_slab(
+                pid, table_va)
+            assert len(addrs) >= 64
 
         baseline = self.charged(linux_domain, False, op)
         faulted = self.charged(linux_domain, True, op)
