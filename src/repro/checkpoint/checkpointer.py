@@ -29,8 +29,7 @@ from repro.checkpoint.costmodel import (
 )
 from repro.checkpoint.snapshot import CheckpointHistory, StoreBackedHistory
 from repro.guest.memory import PAGE_SIZE
-from repro.guest.vm import GuestSnapshot
-from repro.sim.clone import freeze_state, thaw_state
+from repro.guest.vm import GuestSnapshot, copy_state
 
 
 class CopyFidelity(enum.Enum):
@@ -150,9 +149,10 @@ class Checkpointer:
         #: Store mode: pfn -> page key for the whole backup (one held
         #: reference per frame); the flat ``_backup_image`` stays None.
         self._backup_keys = None
-        # The backup's guest state, kept *frozen* (a pickle blob): it is
-        # only thawed on the rare paths that need a live object —
-        # rollback, forensic snapshots, the delta history.
+        # The backup's guest state: the ``vm.state_dict()`` staged with
+        # it, kept as is — that dict shares nothing mutable with the
+        # live guest (see GuestVM.state_dict). Rollback loads it, which
+        # copies; it is copied only where it leaves the checkpointer.
         self._backup_state = None
         self._backup_taken_at = None
         self._pending = None  # staged epoch awaiting commit/abort
@@ -207,7 +207,7 @@ class Checkpointer:
                     # Seed the delta chain; every later commit records
                     # O(dirty).
                     self.history.set_base(self._backup_image)
-            self._backup_state = freeze_state(vm.state_dict())
+            self._backup_state = vm.state_dict()
             self._backup_taken_at = vm.clock.now
             # Initial full synchronization is a whole-VM copy.
             self.init_cost_ms += self.costs.copy_ms(
@@ -318,7 +318,7 @@ class Checkpointer:
             "pfns": staged_pfns,
             "view": staged_view,
             "keys": staged_keys,
-            "state": freeze_state(self.domain.vm.state_dict())
+            "state": self.domain.vm.state_dict()
             if self.fidelity is CopyFidelity.FULL
             else None,
             "taken_at": self.domain.vm.clock.now,
@@ -431,7 +431,7 @@ class Checkpointer:
                         deltas=((pfn,
                                  view[pfn * PAGE_SIZE:(pfn + 1) * PAGE_SIZE])
                                 for pfn in pfns),
-                        guest_state=thaw_state(self._backup_state),
+                        guest_state=self._backup_state,
                         dirty_pages=pending["dirty"],
                         label="epoch-%d" % self.epoch,
                     )
@@ -461,7 +461,7 @@ class Checkpointer:
                 epoch=self.epoch,
                 taken_at=pending["taken_at"],
                 delta_keys=keys,
-                guest_state=thaw_state(self._backup_state),
+                guest_state=self._backup_state,
                 dirty_pages=pending["dirty"],
                 label="epoch-%d" % self.epoch,
             )
@@ -514,7 +514,7 @@ class Checkpointer:
             image = bytes(self._backup_image)
         return GuestSnapshot(
             memory_image=image,
-            state=thaw_state(self._backup_state),
+            state=copy_state(self._backup_state),
             taken_at=self._backup_taken_at,
         )
 
@@ -592,7 +592,9 @@ class Checkpointer:
                     backup_view.release()
         finally:
             ram_view.release()
-        vm.load_state_dict(thaw_state(self._backup_state))
+        # load_state_dict copies what it keeps: the backup state stays
+        # intact for the next rollback.
+        vm.load_state_dict(self._backup_state)
         self.domain.dirty_bitmap.clear()
         self.release_staged_refs()
         self._pending = None

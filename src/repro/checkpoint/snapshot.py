@@ -19,6 +19,7 @@ from collections import deque
 
 from repro.errors import CheckpointError, StoreError
 from repro.guest.memory import PAGE_SIZE
+from repro.guest.vm import copy_state
 
 
 class Checkpoint:
@@ -27,9 +28,11 @@ class Checkpoint:
     ``memory_image`` is either the full image bytes handed to the
     constructor, or — for delta-recorded history entries — reconstructed
     on first access through the owning history's resolver and cached.
+    The guest state is held by reference (the checkpointer's committed
+    backup state, which nothing mutates) and copied on every read.
     """
 
-    __slots__ = ("epoch", "taken_at", "guest_state", "dirty_pages", "label",
+    __slots__ = ("epoch", "taken_at", "_guest_state", "dirty_pages", "label",
                  "_image", "_resolver")
 
     def __init__(self, epoch, taken_at, memory_image, guest_state,
@@ -38,9 +41,14 @@ class Checkpoint:
         self.taken_at = taken_at
         self._image = memory_image
         self._resolver = resolver
-        self.guest_state = guest_state
+        self._guest_state = guest_state
         self.dirty_pages = dirty_pages
         self.label = label
+
+    @property
+    def guest_state(self):
+        """A fresh copy of the guest state, free to mutate or load."""
+        return copy_state(self._guest_state)
 
     @property
     def memory_image(self):

@@ -40,7 +40,7 @@ from repro.obs.incident import build_incident_bundle
 from repro.obs.observer import Observer
 from repro.obs.registry import DEFAULT_COUNT_BUCKETS
 from repro.obs.slo import SLOWatchdog
-from repro.sim.clone import clone_state
+from repro.sim.clone import freeze_state, thaw_state
 from repro.vmi.libvmi import VMIInstance
 
 logger = get_logger("core")
@@ -277,10 +277,11 @@ class Crimes:
         )
 
     def _snapshot_program_states(self):
-        # clone_state (pickle round-trip) rather than deepcopy: this runs
-        # once per committed epoch and the states are plain data.
+        # Programs are third-party code, so their states keep pickle
+        # isolation: frozen once per committed epoch, thawed only by the
+        # rollback and replay paths that load them.
         self._clean_program_states = [
-            clone_state(program.state_dict()) for program in self.programs
+            freeze_state(program.state_dict()) for program in self.programs
         ]
 
     # -- the epoch loop ----------------------------------------------------------
@@ -712,7 +713,7 @@ class Crimes:
         phase_ms = dict(phase_ms)
         phase_ms["rollback"] = self.checkpointer.rollback()
         for program, state in zip(self.programs, self._clean_program_states):
-            program.load_state_dict(clone_state(state))
+            program.load_state_dict(thaw_state(state))
         self.domain.resume()
         self.clock.advance(sum(phase_ms.values()))
         logger.warning(
@@ -816,7 +817,8 @@ class Crimes:
         outcome = self.analyzer.respond(
             finding, module,
             programs=self.programs,
-            program_states=self._clean_program_states,
+            program_states=[thaw_state(state)
+                            for state in self._clean_program_states],
             interval_ms=interval_ms,
             timeline=timeline,
         )

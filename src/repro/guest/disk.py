@@ -48,9 +48,11 @@ class BlockStore:
         return len(self._blocks)
 
     def state_dict(self):
+        # Blocks are immutable ``bytes``: a snapshot shares them and
+        # copies only the index map.
         return {"block_count": self.block_count,
-                "blocks": dict(self._blocks)}
+                "blocks": self._blocks.copy()}
 
     def load_state_dict(self, state):
         self.block_count = state["block_count"]
-        self._blocks = dict(state["blocks"])
+        self._blocks = state["blocks"].copy()

@@ -213,6 +213,10 @@ class CanaryHeap:
 
     # -- snapshot ---------------------------------------------------------
 
+    # ``copy()``, not ``dict()``: both maps take deletions (free, the
+    # table's swap-with-last), and CPython still clones such a dict with
+    # one memcpy where ``dict(d)`` re-inserts every key.
+
     def state_dict(self):
         return {
             "base_va": self.base_va,
@@ -222,8 +226,8 @@ class CanaryHeap:
             "canary_value": self.canary_value,
             "canaries_enabled": self.canaries_enabled,
             "cursor": self._cursor,
-            "live": dict(self._live),
-            "table_index": dict(self._table_index),
+            "live": self._live.copy(),
+            "table_index": self._table_index.copy(),
         }
 
     def load_state_dict(self, state):
@@ -234,8 +238,8 @@ class CanaryHeap:
         self.canary_value = state["canary_value"]
         self.canaries_enabled = state["canaries_enabled"]
         self._cursor = state["cursor"]
-        self._live = dict(state["live"])
-        self._table_index = dict(state["table_index"])
+        self._live = state["live"].copy()
+        self._table_index = state["table_index"].copy()
 
     @classmethod
     def from_state(cls, process, state):

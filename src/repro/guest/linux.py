@@ -650,7 +650,7 @@ class LinuxGuest(GuestVM):
         state = super().state_dict()
         state["linux"] = {
             "slab_free": list(self._slab_free),
-            "task_slot_of_pid": dict(self._task_slot_of_pid),
+            "task_slot_of_pid": self._task_slot_of_pid.copy(),
             "processes": {
                 pid: process.state_dict() for pid, process in self.processes.items()
             },
@@ -661,7 +661,7 @@ class LinuxGuest(GuestVM):
         super().load_state_dict(state)
         linux = state["linux"]
         self._slab_free = list(linux["slab_free"])
-        self._task_slot_of_pid = dict(linux["task_slot_of_pid"])
+        self._task_slot_of_pid = linux["task_slot_of_pid"].copy()
         surviving = {}
         for pid, process_state in linux["processes"].items():
             process = self.processes.get(pid)

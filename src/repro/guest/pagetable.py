@@ -50,10 +50,10 @@ class PageTable:
         return self.translate(vaddr) // PAGE_SIZE
 
     def state_dict(self):
-        return {"entries": dict(self._entries)}
+        return {"entries": self._entries.copy()}
 
     def load_state_dict(self, state):
-        self._entries = dict(state["entries"])
+        self._entries = state["entries"].copy()
 
 
 def kernel_va(paddr):

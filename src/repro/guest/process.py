@@ -103,7 +103,7 @@ class UserProcess:
             "uid": self.uid,
             "alive": self.alive,
             "page_table": self.page_table.state_dict(),
-            "regions": dict(self.regions),
+            "regions": self.regions.copy(),
         }
         if self.heap is not None:
             state["heap"] = self.heap.state_dict()
@@ -117,7 +117,7 @@ class UserProcess:
         self.uid = state["uid"]
         self.alive = state["alive"]
         self.page_table.load_state_dict(state["page_table"])
-        self.regions = dict(state["regions"])
+        self.regions = state["regions"].copy()
         if self.heap is not None and "heap" in state:
             self.heap.load_state_dict(state["heap"])
         if self.stack_guard is not None and "stack_guard" in state:

@@ -12,8 +12,6 @@ Subclasses (:class:`~repro.guest.linux.LinuxGuest`,
 object graph inside the kernel region at boot.
 """
 
-import copy
-
 from repro.errors import DomainStateError
 from repro.guest.alloc import FrameAllocator, KernelBumpAllocator
 from repro.guest.devices import OutputSink, VirtualDisk, VirtualNic
@@ -27,6 +25,27 @@ from repro.sim.rng import SeededStream
 DEFAULT_KERNEL_FRACTION = 0.25
 
 _CPU_REGISTERS = ("rip", "rsp", "rbp", "rax", "rbx", "rcx", "rdx", "cr3")
+
+_CONTAINERS = frozenset((dict, list))
+
+
+def copy_state(state):
+    """An independent copy of a :meth:`GuestVM.state_dict` tree.
+
+    Under the state contract only dicts and lists are mutable; every
+    other node is an immutable leaf and is shared. A container with no
+    container inside is copied in one ``copy()`` (a memcpy for dicts).
+    """
+    kind = type(state)
+    if kind is dict:
+        if _CONTAINERS.isdisjoint(map(type, state.values())):
+            return state.copy()
+        return {key: copy_state(value) for key, value in state.items()}
+    if kind is list:
+        if _CONTAINERS.isdisjoint(map(type, state)):
+            return state.copy()
+        return [copy_state(value) for value in state]
+    return state
 
 
 class GuestSnapshot:
@@ -107,11 +126,16 @@ class GuestVM:
     def state_dict(self):
         """Plain-data snapshot of all Python-side guest state.
 
-        Subclasses extend this; everything returned must survive
-        ``copy.deepcopy`` and contain no references into live objects.
+        The contract the checkpointer keeps the result under, uncopied,
+        as its backup: every dict and list in the returned tree is
+        fresh, and everything else is an immutable leaf (ints, strs,
+        bytes disk blocks, tuples of those), so later guest activity
+        can never change it. :meth:`load_state_dict` in turn copies
+        every container it keeps, so one state can be loaded any number
+        of times. Subclasses extend both under the same contract.
         """
         return {
-            "cpu": dict(self.cpu),
+            "cpu": self.cpu.copy(),
             "kalloc": self.kalloc.state_dict(),
             "user_frames": self.user_frames.state_dict(),
             "nic": self.nic.state_dict(),
@@ -120,7 +144,7 @@ class GuestVM:
         }
 
     def load_state_dict(self, state):
-        self.cpu = dict(state["cpu"])
+        self.cpu = state["cpu"].copy()
         self.kalloc.load_state_dict(state["kalloc"])
         self.user_frames.load_state_dict(state["user_frames"])
         self.nic.load_state_dict(state["nic"])
@@ -131,14 +155,14 @@ class GuestVM:
         """Full-fidelity snapshot (RAM + CPU + bookkeeping)."""
         return GuestSnapshot(
             memory_image=self.memory.snapshot_bytes(),
-            state=copy.deepcopy(self.state_dict()),
+            state=self.state_dict(),
             taken_at=self.clock.now,
         )
 
     def restore(self, snapshot):
         """Restore a snapshot taken earlier from this same VM."""
         self.memory.load_bytes(snapshot.memory_image)
-        self.load_state_dict(copy.deepcopy(snapshot.state))
+        self.load_state_dict(snapshot.state)
 
     def __repr__(self):
         return "%s(name=%r, ram=%dMiB)" % (

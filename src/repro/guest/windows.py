@@ -310,7 +310,7 @@ class WindowsGuest(GuestVM):
     def state_dict(self):
         state = super().state_dict()
         state["windows"] = {
-            "eprocess_pa": dict(self._eprocess_pa),
+            "eprocess_pa": self._eprocess_pa.copy(),
             "sockets": list(self._sockets),
             "registry_keys": list(self._registry_keys),
         }
@@ -319,6 +319,6 @@ class WindowsGuest(GuestVM):
     def load_state_dict(self, state):
         super().load_state_dict(state)
         windows = state["windows"]
-        self._eprocess_pa = dict(windows["eprocess_pa"])
+        self._eprocess_pa = windows["eprocess_pa"].copy()
         self._sockets = list(windows["sockets"])
         self._registry_keys = list(windows["registry_keys"])

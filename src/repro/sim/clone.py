@@ -1,15 +1,15 @@
-"""Fast deep-cloning of plain-data state dicts.
+"""Frozen snapshots of guest-program state.
 
-``copy.deepcopy`` dominates the epoch loop's host time: its recursive
-memo-dict walk costs ~10x a pickle round-trip for the plain-data state
-dicts the guest and workloads expose. Snapshot paths therefore *freeze*
-state to a pickle blob (one ``dumps``), keep the blob, and *thaw* it back
-into a fresh object only when a consumer actually needs one — rollback,
-forensics, or the delta history. A freeze+thaw pair (:func:`clone_state`)
-is still several times cheaper than one deepcopy.
+Guest programs (``repro.workloads``) are third-party code: their
+``state_dict()`` may alias live containers, and their
+``load_state_dict()`` may keep what it is given. The epoch loop therefore
+*freezes* each program's state to a pickle blob once per committed epoch
+and *thaws* a fresh object only when rollback or replay loads it.
+(Guest-VM state needs no freezing: ``GuestVM.state_dict()`` is already
+an independent snapshot.)
 
-State dicts that refuse to pickle (a test double holding an open handle,
-say) silently fall back to ``deepcopy`` so the contract stays "any state
+States that refuse to pickle (a test double holding an open handle, say)
+silently fall back to ``deepcopy`` so the contract stays "any state
 deepcopy accepted before is still accepted".
 """
 
@@ -32,8 +32,3 @@ def thaw_state(frozen):
     if isinstance(frozen, (bytes, bytearray)):
         return pickle.loads(frozen)
     return frozen if frozen is None else copy.deepcopy(frozen)
-
-
-def clone_state(state):
-    """Deep-clone ``state`` (pickle round-trip, deepcopy fallback)."""
-    return thaw_state(freeze_state(state))

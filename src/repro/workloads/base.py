@@ -45,6 +45,14 @@ class GuestProgram:
         return False
 
     def state_dict(self):
+        """Plain data capturing everything :meth:`step` depends on.
+
+        The framework never holds the returned object: it freezes it
+        (one pickle; ``deepcopy`` if it will not pickle) after every
+        committed epoch, so it may alias live containers, and on
+        rollback or replay it thaws a fresh copy for
+        :meth:`load_state_dict`, which may keep it as is.
+        """
         return {}
 
     def load_state_dict(self, state):

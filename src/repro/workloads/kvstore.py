@@ -61,16 +61,19 @@ class KeyValueStoreProgram(GuestProgram):
         """Insert/overwrite a record; persists to disk as well."""
         process = self.process
         encoded = value.encode("utf-8")[:_VALUE_SIZE]
+        # A key's disk slot is its position in the insertion-ordered
+        # index (keys are never deleted).
         if key in self._index:
             vaddr = self._index[key]
+            slot = list(self._index).index(key)
         else:
             vaddr = process.malloc(_RECORD_SIZE)
+            slot = len(self._index)
             self._index[key] = vaddr
         record = key.encode("utf-8")[:30].ljust(32, b"\x00") + \
             encoded.ljust(_VALUE_SIZE, b"\x00")
         process.write(vaddr, record)
-        block = self.disk_block_base + (len(self._index) - 1) % 256
-        self.vm.disk.write(block, record)
+        self.vm.disk.write(self.disk_block_base + slot % 256, record)
         return vaddr
 
     def get(self, key):

@@ -7,6 +7,7 @@ from repro.core.crimes import Crimes
 from repro.detectors.connections import ConnectionPolicyModule
 from repro.detectors.netsig import OutputSignatureModule
 from repro.guest.linux import LinuxGuest
+from repro.sim.clone import thaw_state
 from repro.workloads.kvstore import DataTheftProgram, KeyValueStoreProgram
 
 
@@ -48,6 +49,19 @@ class TestKeyValueStore:
         writes_before = store.vm.disk.writes
         store.put("durable", "yes")
         assert store.vm.disk.writes == writes_before + 1
+
+    def test_overwrite_persists_to_the_keys_own_block(self, store):
+        """Overwriting a key rewrites its own block, not the newest key's."""
+        disk = store.vm.disk
+        base = store.disk_block_base
+        store.put("new", "fresh")  # fourth key: block base + 3
+        newest = disk.read(base + 3)
+        store.put("user:1:card", "5500-0000-0000-0004")
+        assert disk.read(base + 3) == newest
+        card = disk.read(base)
+        assert card.startswith(b"user:1:card\x00")
+        assert b"5500-0000-0000-0004" in card
+        assert b"4111-1111-1111-1111" not in card
 
     def test_step_generates_traffic_and_records(self, store):
         store.step(0.0, 50.0)
@@ -113,5 +127,6 @@ class TestDataTheftScenario:
         crimes.run(max_epochs=5)
         assert crimes.suspended
         crimes.checkpointer.rollback()
-        store.load_state_dict(crimes._clean_program_states[0])
+        # Program states are kept frozen; thaw the store's to load it.
+        store.load_state_dict(thaw_state(crimes._clean_program_states[0]))
         assert store.get("user:1:ssn") == "078-05-1120"
