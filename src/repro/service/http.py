@@ -29,6 +29,7 @@ rejection ``400``.
 """
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -154,11 +155,15 @@ class CaseService:
             if since is not None:
                 try:
                     since = float(since)
+                    # NaN compares false with every t_ms, which would
+                    # silently turn the filter off.
+                    if not math.isfinite(since):
+                        raise ValueError(since)
                 except ValueError:
                     raise _RequestError(
                         400, "bad-request",
-                        "since must be a virtual-time ms number, got %r"
-                        % since) from None
+                        "since must be a finite virtual-time ms number, "
+                        "got %r" % params["since"]) from None
             rows = self.vault.findings(module=params.get("module"),
                                        since=since,
                                        tenant=params.get("tenant"))
@@ -211,7 +216,7 @@ class CaseService:
         """
         self.registry.gauge(
             "service.vault.cases", help="cases stored"
-        ).set(self.vault.stats()["cases"])
+        ).set(len(self.vault.case_ids()))
         self.registry.gauge(
             "service.jobs.pending", help="forensics jobs not yet done"
         ).set(self.queue.stats()["pending"])
@@ -286,6 +291,10 @@ def _make_handler(service):
     class Handler(BaseHTTPRequestHandler):
         server_version = "crimes-case-service/1"
         protocol_version = "HTTP/1.1"
+        # Headers and body leave in two writes; under Nagle the second
+        # waits for the client's delayed ACK (~40 ms) on every
+        # keep-alive request.
+        disable_nagle_algorithm = True
 
         # -- plumbing ------------------------------------------------------
 

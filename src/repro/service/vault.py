@@ -133,7 +133,12 @@ def _row_order(row):
 
 
 class CaseVault:
-    """Directory-backed case storage; safe for concurrent service use."""
+    """Directory-backed case storage; safe for concurrent service use.
+
+    The vault must be the only writer of its root: the audit head and
+    the finding index are held in memory and recovered from disk only
+    when a vault opens.
+    """
 
     def __init__(self, root):
         self.root = os.path.abspath(root)
@@ -145,6 +150,9 @@ class CaseVault:
         self._audit_head = AUDIT_GENESIS
         self.rejects = 0
         self._reload_audit_state()
+        # The finding index: case IDs in ingest order, and every case's
+        # finding rows in causal order (:func:`_row_order`).
+        self._case_ids, self._rows = self._load_index()
 
     # -- audit log ---------------------------------------------------------
 
@@ -161,6 +169,17 @@ class CaseVault:
                 self._audit_head = entry["hash"]
                 if entry["kind"] == "vault.reject":
                     self.rejects += 1
+
+    def _load_index(self):
+        """The finding index, rebuilt from the stored cases (reopen)."""
+        cases = [self.case(case_id) for case_id in os.listdir(self.cases_dir)
+                 if _CASE_ID_RE.match(case_id)]
+        cases.sort(key=lambda case: case["ingested_seq"])
+        case_ids = [case["case_id"] for case in cases]
+        rows = [row for case_id in case_ids
+                for row in _finding_rows(case_id, self.bundle(case_id))]
+        rows.sort(key=_row_order)
+        return case_ids, rows
 
     def _audit_append(self, kind, **details):
         """Append one hash-chained line to the vault audit log."""
@@ -250,6 +269,12 @@ class CaseVault:
                 )
                 raise err
 
+            rows = _finding_rows(case_id, bundle)
+            # Merged before anything is written: rows that cannot join
+            # the causal order fail the ingest, never leave a stored case
+            # the index lacks. The stable sort keeps equal-keyed rows in
+            # ingest order, as a rebuild on reopen does.
+            indexed = sorted(self._rows + rows, key=_row_order)
             dump_meta = None
             staging = case_dir + ".staging"
             self._clear_staging(staging)  # stale leftover from a crash
@@ -274,7 +299,7 @@ class CaseVault:
                     "source": source,
                     "flight_head": bundle["flight"]["head_hash"],
                     "flight_events": len(bundle["flight"]["events"]),
-                    "findings": len(_finding_rows(case_id, bundle)),
+                    "findings": len(rows),
                     "slo_alerts": bundle["slo"].get("alerts", 0),
                     "dump": dump_meta,
                     "reports": [],
@@ -291,6 +316,8 @@ class CaseVault:
                 # ingest of this case ID.
                 if not committed:
                     self._clear_staging(staging)
+            self._case_ids.append(case_id)
+            self._rows = indexed
             self._audit_append(
                 "vault.ingest", source=source, case_id=case_id,
                 tenant=bundle["tenant"], reason=bundle["reason"],
@@ -352,12 +379,13 @@ class CaseVault:
     # -- reading -----------------------------------------------------------
 
     def case_ids(self):
-        """Stored case IDs, in ingest order."""
-        cases = [self.case(case_id) for case_id in
-                 sorted(os.listdir(self.cases_dir))
-                 if _CASE_ID_RE.match(case_id)]
-        cases.sort(key=lambda case: case["ingested_seq"])
-        return [case["case_id"] for case in cases]
+        """Stored case IDs, in ingest order (a copy of the index's list).
+
+        Read from the in-memory finding index, which :meth:`ingest` fills
+        and which is rebuilt from ``cases/`` when the vault opens.
+        """
+        with self._lock:
+            return list(self._case_ids)
 
     def case(self, case_id):
         """The ``crimes-case/1`` record (metadata + attached reports)."""
@@ -449,22 +477,26 @@ class CaseVault:
         bound in ms; ``tenant`` filters to one tenant. Rows are ordered
         by ``(t_ms, tenant, seq)`` — the same deterministic causal order
         the fleet merge uses.
+
+        Rows come from the in-memory finding index, already in that
+        order; no bundle is re-read. Each returned row is a copy, so a
+        caller that edits one does not change the next answer.
         """
         wanted = _normalize_module(module) if module is not None else None
+        with self._lock:
+            indexed = list(self._rows)
         rows = []
-        for case_id in self.case_ids():
-            for row in _finding_rows(case_id, self.bundle(case_id)):
-                if wanted is not None and (
-                        row["module"] is None
-                        or _normalize_module(row["module"]) != wanted):
-                    continue
-                if since is not None and (row["t_ms"] is None
-                                          or row["t_ms"] < since):
-                    continue
-                if tenant is not None and row["tenant"] != tenant:
-                    continue
-                rows.append(row)
-        rows.sort(key=_row_order)
+        for row in indexed:
+            if wanted is not None and (
+                    row["module"] is None
+                    or _normalize_module(row["module"]) != wanted):
+                continue
+            if since is not None and (row["t_ms"] is None
+                                      or row["t_ms"] < since):
+                continue
+            if tenant is not None and row["tenant"] != tenant:
+                continue
+            rows.append(dict(row))
         return rows
 
     # -- accounting --------------------------------------------------------

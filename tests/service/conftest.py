@@ -20,8 +20,9 @@ from repro.workloads.attacks import OverflowAttackProgram, RootkitProgram
 from repro.workloads.webserver import WebServerWorkload
 
 
-def _attacked_crimes(name, seed, module, program):
-    vm = LinuxGuest(name=name, memory_bytes=4 * 1024 * 1024, seed=seed)
+def _attacked_crimes(name, seed, module, program, memory_mib=4, epochs=8):
+    vm = LinuxGuest(name=name, memory_bytes=memory_mib * 1024 * 1024,
+                    seed=seed)
     crimes = Crimes(vm, CrimesConfig(epoch_interval_ms=50.0, seed=seed,
                                      auto_respond=False,
                                      history_capacity=4))
@@ -29,7 +30,7 @@ def _attacked_crimes(name, seed, module, program):
     crimes.add_program(WebServerWorkload("light", seed=seed))
     crimes.add_program(program)
     crimes.start()
-    crimes.run(max_epochs=8)
+    crimes.run(max_epochs=epochs)
     assert crimes.last_incident is not None
     return crimes
 
@@ -46,6 +47,25 @@ def overflow_crimes():
     """Tenant B: a heap overflow caught by the canary scan."""
     return _attacked_crimes("tenant-ov", 42, CanaryScanModule(),
                             OverflowAttackProgram(trigger_epoch=4))
+
+
+@pytest.fixture(scope="session")
+def small_bundles():
+    """Eight distinct incident bundles, built like the benchmark's
+    prefill: a 2 MiB guest, a rootkit (even seed) or a heap overflow
+    (odd seed), 6 epochs."""
+    bundles = []
+    for seed in range(8):
+        if seed % 2 == 0:
+            module, program = SyscallTableModule(), RootkitProgram(
+                trigger_epoch=2)
+        else:
+            module, program = CanaryScanModule(), OverflowAttackProgram(
+                trigger_epoch=3)
+        crimes = _attacked_crimes("small-%d" % seed, seed, module, program,
+                                  memory_mib=2, epochs=6)
+        bundles.append(crimes.last_incident)
+    return bundles
 
 
 @pytest.fixture()

@@ -3,6 +3,7 @@
 import copy
 import http.client
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -120,9 +121,12 @@ class TestQueryRoutes:
                                 for row in filtered)
 
     def test_bad_since_is_400(self, service):
-        status, body = get(service, "/findings?since=yesterday")
-        assert status == 400
-        assert json.loads(body)["error"]["code"] == "bad-request"
+        # nan parses as a float but compares false with every t_ms, so
+        # accepting it would silently switch the filter off.
+        for since in ("yesterday", "nan", "inf"):
+            status, body = get(service, "/findings?since=" + since)
+            assert status == 400, since
+            assert json.loads(body)["error"]["code"] == "bad-request"
 
     def test_slo_dashboard(self, service, rootkit_bundle,
                            overflow_bundle):
@@ -280,6 +284,42 @@ class TestRequestFraming:
             assert resp.getheader("Connection") == "close"
         finally:
             conn.close()
+
+
+class TestKeepAlive:
+    def test_one_connection_serves_a_request_mix_without_stalls(
+            self, service, rootkit_bundle, overflow_bundle):
+        """Regression: every response leaves in two writes, and with
+        Nagle on the second waited for the client's delayed ACK, about
+        40 ms per keep-alive request (1.7 s for this loop)."""
+        case_id = json.loads(post(service, "/cases", rootkit_bundle)[1]
+                             )["case_id"]
+        paths = ("/cases/%s" % case_id, "/findings", "/healthz", "/metrics")
+        bodies = {}
+        host, port = service.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            started = time.perf_counter()
+            for index in range(40):
+                if index == 17:
+                    conn.request("POST", "/cases",
+                                 body=json.dumps(overflow_bundle).encode(),
+                                 headers={"Content-Type": "application/json"})
+                    path, want = "/cases", 201
+                else:
+                    path, want = paths[index % len(paths)], 200
+                    conn.request("GET", path)
+                resp = conn.getresponse()
+                bodies[path] = resp.read().decode()
+                assert resp.status == want, (index, path, bodies[path])
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert json.loads(bodies["/cases"])["case_id"] == \
+            case_id_for(overflow_bundle)
+        for path in paths[:2]:
+            assert bodies[path] == get(service, path)[1], path
+        assert elapsed < 0.5, "40 keep-alive requests took %.2f s" % elapsed
 
 
 class TestHealth:

@@ -1,9 +1,12 @@
 """Case vault tests: adversarial ingest, audit chain, queries, dumps."""
 
+import collections
 import copy
 import json
 import os
 import stat
+import sys
+import threading
 
 import pytest
 
@@ -19,12 +22,18 @@ from repro.service.ingest import case_id_for, verify_fleet_export
 from repro.service.vault import AUDIT_GENESIS, CASE_SCHEMA, CaseVault
 
 
-def assert_vault_unchanged(vault, cases=0):
+def index_of(vault):
+    """The vault's finding index as its two queries answer it."""
+    return vault.case_ids(), vault.findings()
+
+
+def assert_vault_unchanged(vault, before, cases=0):
     """The adversarial invariant: rejected evidence leaves no trace in
-    ``cases/`` (the rejection itself is audited)."""
-    assert len(vault.cases()) == cases
-    assert not [name for name in os.listdir(vault.cases_dir)
-                if name.endswith(".staging")]
+    ``cases/`` or in the finding index (``before`` is :func:`index_of`
+    taken ahead of the rejection; the rejection itself is audited)."""
+    assert sorted(os.listdir(vault.cases_dir)) == sorted(vault.case_ids())
+    assert len(vault.case_ids()) == cases
+    assert index_of(vault) == before
     assert vault.verify_audit()["ok"]
 
 
@@ -68,10 +77,11 @@ class TestAdversarialIngest:
     def test_tampered_flight_event_rejected(self, vault, rootkit_bundle):
         tampered = copy.deepcopy(rootkit_bundle)
         tampered["flight"]["events"][3]["attrs"] = {"forged": True}
+        before = index_of(vault)
         with pytest.raises(IngestError) as excinfo:
             vault.ingest(tampered)
         assert excinfo.value.code == "hash-chain-broken"
-        assert_vault_unchanged(vault)
+        assert_vault_unchanged(vault, before)
         reject = vault.audit_entries()[-1]
         assert reject["kind"] == "vault.reject"
         assert reject["code"] == "hash-chain-broken"
@@ -79,37 +89,42 @@ class TestAdversarialIngest:
     def test_truncated_epoch_chain_rejected(self, vault, rootkit_bundle):
         truncated = copy.deepcopy(rootkit_bundle)
         del truncated["epoch_chain"][-1]
+        before = index_of(vault)
         with pytest.raises(IngestError) as excinfo:
             vault.ingest(truncated)
         assert excinfo.value.code == "epoch-chain-truncated"
-        assert_vault_unchanged(vault)
+        assert_vault_unchanged(vault, before)
 
     def test_empty_epoch_chain_rejected(self, vault, rootkit_bundle):
         gutted = copy.deepcopy(rootkit_bundle)
         gutted["epoch_chain"] = []
+        before = index_of(vault)
         with pytest.raises(IngestError) as excinfo:
             vault.ingest(gutted)
         assert excinfo.value.code == "epoch-chain-empty"
-        assert_vault_unchanged(vault)
+        assert_vault_unchanged(vault, before)
 
     def test_duplicate_case_rejected(self, vault, rootkit_bundle):
         vault.ingest(rootkit_bundle)
+        before = index_of(vault)
         with pytest.raises(DuplicateCaseError) as excinfo:
             vault.ingest(copy.deepcopy(rootkit_bundle))
         assert excinfo.value.code == "duplicate-case"
-        assert_vault_unchanged(vault, cases=1)
+        assert_vault_unchanged(vault, before, cases=1)
         assert vault.stats()["rejects"] == 1
 
     def test_wrong_schema_rejected(self, vault, rootkit_bundle):
         wrong = copy.deepcopy(rootkit_bundle)
         wrong["schema"] = "crimes-obs/1"
+        before = index_of(vault)
         with pytest.raises(IngestError) as excinfo:
             vault.ingest(wrong)
         assert excinfo.value.code == "schema-mismatch"
-        assert_vault_unchanged(vault)
+        assert_vault_unchanged(vault, before)
 
     def test_traversal_case_id_never_touches_the_filesystem(
             self, tmp_path, vault):
+        before = index_of(vault)
         # Plant a readable case.json *outside* the vault root; a
         # traversal ID that would resolve to it must 404 instead.
         outside = tmp_path / "loot"
@@ -125,19 +140,22 @@ class TestAdversarialIngest:
                 vault.bundle(case_id)
             with pytest.raises(CaseNotFoundError):
                 vault.load_dump(case_id)
-        assert_vault_unchanged(vault)
+        assert_vault_unchanged(vault, before)
 
     def test_bad_dump_attachment_leaves_no_staging(self, vault,
                                                    rootkit_bundle):
+        before = index_of(vault)
         with pytest.raises(ServiceError):
             vault.ingest(copy.deepcopy(rootkit_bundle),
                          dump=object())  # not a MemoryDump
-        assert_vault_unchanged(vault)
+        assert_vault_unchanged(vault, before)
         # The rejection must not poison the case ID: a later ingest of
         # the same (valid) evidence succeeds.
         case = vault.ingest(rootkit_bundle)
         assert case["case_id"] == case_id_for(rootkit_bundle)
-        assert_vault_unchanged(vault, cases=1)
+        assert os.listdir(vault.cases_dir) == vault.case_ids() \
+            == [case["case_id"]]
+        assert vault.verify_audit()["ok"]
 
     def test_fleet_export_head_mismatch_rejected(self, rootkit_crimes,
                                                  overflow_crimes):
@@ -243,6 +261,121 @@ class TestQueries:
     def test_missing_case_raises(self, vault):
         with pytest.raises(CaseNotFoundError):
             vault.case("case-feedfacefeedface")
+
+
+class TestFindingIndex:
+    def test_reopened_vault_rebuilds_the_same_index(self, tmp_path,
+                                                    rootkit_bundle,
+                                                    overflow_bundle):
+        """The original vault answers from the index ingest filled; the
+        reopened one from the index it rebuilt off disk. They agree."""
+        # Ingest against the IDs' lexical order, so the rebuilt order
+        # must come from the recorded ingest sequence.
+        bundles = sorted([rootkit_bundle, overflow_bundle], key=case_id_for,
+                         reverse=True)
+        vault = CaseVault(tmp_path / "v")
+        for bundle in bundles:
+            vault.ingest(bundle)
+        vault.attach_report(case_id_for(rootkit_bundle),
+                            {"job_id": "job-0000", "kind": "triage"})
+        assert vault.case_ids() == [case_id_for(b) for b in bundles]
+        everything = vault.findings()
+        cutoff = max(row["t_ms"] for row in everything)
+
+        reopened = CaseVault(tmp_path / "v")
+        assert reopened.case_ids() == vault.case_ids()
+        for query in ({}, {"module": "syscall_table"},
+                      {"tenant": "tenant-ov"}, {"since": cutoff}):
+            rows = vault.findings(**query)
+            assert rows, query
+            assert reopened.findings(**query) == rows, query
+        assert len(vault.findings(since=cutoff)) < len(everything)
+
+    def test_answers_are_copies(self, vault, rootkit_bundle):
+        vault.ingest(rootkit_bundle)
+        ids, rows = index_of(vault)
+        expected = copy.deepcopy(rows)
+        ids.append("case-0000000000000000")
+        rows[0]["module"] = "forged"
+        rows[0]["t_ms"] = -1.0
+        rows.pop()
+        assert index_of(vault) == ([case_id_for(rootkit_bundle)], expected)
+
+
+class TestConcurrentIndex:
+    def test_readers_see_whole_cases_in_ingest_order(self, tmp_path,
+                                                     small_bundles):
+        """Four threads ingest while four threads query the index.
+        Every ``case_ids()`` snapshot must be a prefix of the final
+        ingest order, and every ``findings()`` answer must hold all rows
+        of each case it mentions: no case is ever half-indexed. These
+        bundles carry one finding row each, so a half-indexed case is
+        also one listed without its rows, or with rows but unlisted:
+        each answer must cover every case listed before it and mention
+        none that is unlisted after it."""
+        reference = CaseVault(tmp_path / "reference")
+        for bundle in small_bundles:
+            reference.ingest(bundle)
+        rows_per_case = collections.Counter(
+            row["case_id"] for row in reference.findings())
+
+        vault = CaseVault(tmp_path / "vault")
+        done = threading.Event()
+        errors = []
+        torn = []
+        snapshots = [[] for _ in range(4)]
+
+        def ingester(bundles):
+            try:
+                for bundle in bundles:
+                    vault.ingest(bundle)
+            except Exception as err:  # pragma: no cover - fail loud
+                errors.append(err)
+
+        def reader(seen):
+            try:
+                while not done.is_set():
+                    ids = vault.case_ids()
+                    if not seen or ids != seen[-1]:
+                        seen.append(ids)
+                    counts = collections.Counter(
+                        row["case_id"] for row in vault.findings())
+                    listed_after = set(vault.case_ids())
+                    torn.extend(case_id for case_id, count in counts.items()
+                                if count != rows_per_case[case_id]
+                                or case_id not in listed_after)
+                    torn.extend(case_id for case_id in ids
+                                if case_id not in counts)
+            except Exception as err:  # pragma: no cover - fail loud
+                errors.append(err)
+
+        ingesters = [threading.Thread(target=ingester,
+                                      args=(small_bundles[lane::4],))
+                     for lane in range(4)]
+        readers = [threading.Thread(target=reader, args=(seen,))
+                   for seen in snapshots]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in readers + ingesters:
+                thread.start()
+            for thread in ingesters:
+                thread.join(timeout=60)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=10)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in ingesters + readers)
+        assert errors == []
+        assert torn == []
+        final = vault.case_ids()
+        assert sorted(final) == sorted(reference.case_ids())
+        for seen in snapshots:
+            assert seen, "a reader never ran"
+            for ids in seen:
+                assert ids == final[:len(ids)]
 
 
 class TestConcurrentAudit:
