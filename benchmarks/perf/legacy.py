@@ -4,8 +4,9 @@ These reproduce the pre-optimization hot paths the delta-checkpoint /
 zero-copy PR replaced:
 
 * ``LegacyCheckpointer`` — commit() propagates staged pages with a
-  per-page Python loop and materializes a full ``bytes`` RAM image plus
-  a deepcopy per committed epoch when history is enabled; rollback()
+  per-page Python loop and, when history is enabled, appends a full
+  ``bytes`` RAM image plus a deepcopy per committed epoch to its own
+  bounded deque (``seed_history``); rollback()
   diffs every frame of RAM against the backup in a Python loop; staging
   copies each dirty frame with ``read_frame`` and deep-copies the guest
   state dict (the seed's per-epoch snapshot).
@@ -29,6 +30,7 @@ construction; only host time differs.
 """
 
 import copy
+from collections import deque
 
 from repro.checkpoint.checkpointer import Checkpointer, CopyFidelity
 from repro.checkpoint.snapshot import Checkpoint
@@ -39,6 +41,11 @@ from repro.hypervisor.dirty import ScanStats, WORD_BITS
 
 class LegacyCheckpointer(Checkpointer):
     """Checkpointer with the seed revision's O(RAM) commit/rollback."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: The seed's history: eager full-image checkpoints, newest last.
+        self.seed_history = deque(maxlen=self.history.capacity)
 
     def start(self):
         super().start()
@@ -74,17 +81,18 @@ class LegacyCheckpointer(Checkpointer):
             self._flight.record("epoch.commit", epoch=self.epoch,
                                 dirty_pages=pending["dirty"])
         if self.fidelity is CopyFidelity.FULL:
+            image = self._backup.image
             for pfn, data in pending["pages"]:
                 start = pfn * PAGE_SIZE
-                self._backup_image[start : start + PAGE_SIZE] = data
+                image[start : start + PAGE_SIZE] = data
             self._backup_state = pending["state"]
             self._backup_taken_at = pending["taken_at"]
             if self.history.capacity:
-                self.history.record(
+                self.seed_history.append(
                     Checkpoint(
                         epoch=self.epoch,
                         taken_at=pending["taken_at"],
-                        memory_image=bytes(self._backup_image),
+                        memory_image=bytes(image),
                         guest_state=copy.deepcopy(self._backup_state),
                         dirty_pages=pending["dirty"],
                         label="epoch-%d" % self.epoch,
@@ -95,7 +103,7 @@ class LegacyCheckpointer(Checkpointer):
     def rollback(self):
         vm = self.domain.vm
         differing = 0
-        image = self._backup_image
+        image = self._backup.image
         for pfn in range(vm.memory.frame_count):
             start = pfn * PAGE_SIZE
             if vm.memory.read_frame(pfn) != bytes(

@@ -13,11 +13,7 @@ from repro.checkpoint.checkpointer import (
     CheckpointReport,
     CopyFidelity,
 )
-from repro.checkpoint.snapshot import (
-    Checkpoint,
-    CheckpointHistory,
-    StoreBackedHistory,
-)
+from repro.checkpoint.snapshot import Checkpoint, CheckpointHistory
 from repro.checkpoint.store import PageStore
 
 __all__ = [
@@ -28,6 +24,5 @@ __all__ = [
     "CopyFidelity",
     "Checkpoint",
     "CheckpointHistory",
-    "StoreBackedHistory",
     "PageStore",
 ]

@@ -6,6 +6,13 @@ image, and (4) reports the virtual-time cost of each phase. The backup is
 only advanced when the caller *commits* — i.e. after the security audit
 passes — so it is always the most recent known-clean state.
 
+The backup has two formats, chosen once in ``start()``: a flat bytearray
+(:class:`_FlatBackup`) or one key per frame in a shared, deduplicating
+:class:`~repro.checkpoint.store.PageStore` (:class:`_StoreBackup`). Both
+stage, commit, restore and hand the checkpoint history its undo records
+(see :mod:`repro.checkpoint.snapshot`) behind the same methods, so the
+checkpointer itself never branches on the format.
+
 Two fidelity modes:
 
 * ``FULL`` — dirty page bytes are really copied; rollback restores them.
@@ -27,7 +34,7 @@ from repro.checkpoint.costmodel import (
     NOMINAL_FRAME_COUNT,
     OptimizationLevel,
 )
-from repro.checkpoint.snapshot import CheckpointHistory, StoreBackedHistory
+from repro.checkpoint.snapshot import CheckpointHistory
 from repro.guest.memory import PAGE_SIZE
 from repro.guest.vm import GuestSnapshot, copy_state
 
@@ -35,6 +42,11 @@ from repro.guest.vm import GuestSnapshot, copy_state
 class CopyFidelity(enum.Enum):
     FULL = "full"
     ACCOUNTING = "accounting"
+
+
+def _rows(buffer):
+    """``buffer`` as a (frames x PAGE_SIZE) matrix of uint64 words."""
+    return _np.frombuffer(buffer, dtype=_np.uint64).reshape(-1, PAGE_SIZE // 8)
 
 
 def _diff_frames(candidates, ram_view, backup_view):
@@ -46,11 +58,172 @@ def _diff_frames(candidates, ram_view, backup_view):
     afterwards.
     """
     idx = _np.fromiter(candidates, dtype=_np.intp, count=len(candidates))
-    words = PAGE_SIZE // 8
-    ram = _np.frombuffer(ram_view, dtype=_np.uint64).reshape(-1, words)
-    bak = _np.frombuffer(backup_view, dtype=_np.uint64).reshape(-1, words)
-    mismatch = (ram[idx] != bak[idx]).any(axis=1)
+    mismatch = (_rows(ram_view)[idx] != _rows(backup_view)[idx]).any(axis=1)
     return idx[mismatch].tolist()
+
+
+class _FlatBackup:
+    """The backup as one private bytearray: §2's second copy of RAM.
+
+    Staging copies nothing (commit reads the paused guest's RAM view).
+    An undo record is ``(pfns, rows)``: a numpy gather of the backup rows
+    a commit overwrote.
+    """
+
+    #: Private bytes per undo-record page (the history's accounting).
+    undo_page_bytes = PAGE_SIZE
+
+    def __init__(self, view):
+        self.image = bytearray(view)
+
+    def stage(self, view, pfns, held, phase_ms, injector):
+        return None
+
+    def commit(self, pfns, view, staged, keep_undo):
+        """Scatter the staged frames into the backup; returns the undo.
+
+        One fancy-indexed row copy each way — the backup and the staged
+        RAM view are both (frames x PAGE_SIZE) matrices, so neither the
+        undo gather nor the scatter loops per page in Python. uint64 rows
+        move the same bytes with 1/8th the elements, measurably faster
+        than a uint8 scatter.
+        """
+        if not pfns:
+            return None
+        idx = _np.asarray(pfns, dtype=_np.intp)
+        backup = _rows(self.image)
+        undo = (idx, backup[idx]) if keep_undo else None
+        backup[idx] = _rows(view)[idx]
+        return undo
+
+    def apply_undo(self, image, undo):
+        idx, rows = undo
+        _rows(image)[idx] = rows
+
+    # A flat tenant holds no store references: dropping a record or
+    # evicting the tenant returns nothing.
+    def drop(self, keys):
+        pass
+
+    def release(self, history):
+        pass
+
+    def restore(self, candidates, ram_view, memory):
+        """Write back the candidate frames that differ; returns how many."""
+        backup_view = memoryview(self.image)
+        try:
+            # Vectorized diff: compare all candidate rows at once, then
+            # restore only the frames that actually changed. (The numpy
+            # views live inside the helper so the buffer exports are
+            # gone before the view is released below.)
+            differing = _diff_frames(candidates, ram_view, backup_view)
+            for pfn in differing:
+                start = pfn * PAGE_SIZE
+                memory.write_frame(pfn, backup_view[start:start + PAGE_SIZE],
+                                   notify=False)
+        finally:
+            backup_view.release()
+        return len(differing)
+
+    def materialize(self):
+        return bytes(self.image)
+
+    def retained_bytes(self):
+        return len(self.image)
+
+
+class _StoreBackup:
+    """The backup as one :class:`PageStore` key per frame, deduped.
+
+    §2's 2x-memory cost becomes the store's deduped (and budgeted)
+    resident set. Every key of the backup, of its staged epoch (a key
+    list parallel to the staged pfns) and of its undo records (``(pfns,
+    keys)``) is one store reference owned by ``owner``.
+    """
+
+    #: Undo pages live in the shared store and are attributed there.
+    undo_page_bytes = 0
+
+    def __init__(self, store, owner, view):
+        self._store = store
+        self._owner = owner
+        self._keys = [key for _pfn, key in store.ingest_frames(
+            view, range(len(view) // PAGE_SIZE), owner)]
+
+    def stage(self, view, pfns, held, phase_ms, injector):
+        """Hash the staged frames into the store (one ref each).
+
+        Backoff charged by a faulted spill op lands on the ``copy``
+        phase. A held predecessor's keys are superseded by the merged
+        restage (which re-hashed the pfn union at current contents) and
+        are released whether or not it succeeds; a :class:`StoreIOError`
+        (the disk tier failed dedup verification) leaves no reference of
+        this stage behind either.
+        """
+        store = self._store
+        try:
+            return [key for _pfn, key in store.ingest_frames(
+                view, pfns, self._owner, injector=injector)]
+        finally:
+            phase_ms["copy"] += store.take_backoff_ms()
+            self.drop(held)
+
+    def commit(self, pfns, view, staged, keep_undo):
+        """Move each staging reference into the backup.
+
+        The superseded references move into the undo record (or are
+        released when nothing keeps it): a fault-free commit neither
+        copies page bytes nor retains a page.
+        """
+        keys = self._keys
+        superseded = [keys[pfn] for pfn in pfns]
+        for pfn, key in zip(pfns, staged):
+            keys[pfn] = key
+        if keep_undo:
+            return (pfns, superseded)
+        self.drop(superseded)
+        return None
+
+    def apply_undo(self, image, undo):
+        store = self._store
+        for pfn, key in zip(*undo):
+            start = pfn * PAGE_SIZE
+            image[start:start + PAGE_SIZE] = store.get(key, promote=False)
+
+    def drop(self, keys):
+        if keys:
+            self._store.release_many(keys, self._owner)
+
+    def release(self, history):
+        """Return every reference: undo records first, then the backup."""
+        history.clear()
+        self.drop(self._keys)
+        self._keys = None
+
+    def restore(self, candidates, ram_view, memory):
+        """Write back the candidate frames that differ; returns how many.
+
+        No LRU promotion and no fault probes — rollback *is* the
+        escalation path, so the seam it recovers from must not be able
+        to block it.
+        """
+        store = self._store
+        keys = self._keys
+        differing = 0
+        for pfn in candidates:
+            start = pfn * PAGE_SIZE
+            backup_page = store.get(keys[pfn], promote=False)
+            if ram_view[start:start + PAGE_SIZE] != backup_page:
+                differing += 1
+                memory.write_frame(pfn, backup_page, notify=False)
+        return differing
+
+    def materialize(self):
+        return self._store.materialize(self._keys)
+
+    def retained_bytes(self):
+        """0: the pages live in the host's shared store, counted there."""
+        return 0
 
 
 class CheckpointReport:
@@ -100,16 +273,12 @@ class Checkpointer:
         self.nominal_frames = max(nominal_frames, domain.vm.memory.frame_count)
         self.mapping = domain.new_mapping_table()
         #: Optional content-addressed page store (usually shared by every
-        #: tenant on a CloudHost). When set, the backup and the delta
-        #: ring hold refcounted page keys instead of flat byte copies —
-        #: same semantics, deduped bytes.
+        #: tenant on a CloudHost). When set, the backup and the history's
+        #: undo records hold refcounted page keys instead of flat byte
+        #: copies — same semantics, deduped bytes.
         self.store = store
         self.owner = owner if owner is not None else domain.vm.name
-        if store is not None and history_capacity:
-            self.history = StoreBackedHistory(history_capacity, store=store,
-                                              owner=self.owner)
-        else:
-            self.history = CheckpointHistory(history_capacity)
+        self.history = CheckpointHistory(history_capacity)
         self._registry = registry
         if registry is not None:
             from repro.obs.registry import DEFAULT_COUNT_BUCKETS
@@ -145,10 +314,9 @@ class Checkpointer:
         #: virtual time the failed retries consumed).
         self.last_sync_backoff_ms = 0.0
 
-        self._backup_image = None
-        #: Store mode: pfn -> page key for the whole backup (one held
-        #: reference per frame); the flat ``_backup_image`` stays None.
-        self._backup_keys = None
+        # The backup image: a _FlatBackup or _StoreBackup from start(),
+        # None in ACCOUNTING fidelity.
+        self._backup = None
         # The backup's guest state: the ``vm.state_dict()`` staged with
         # it, kept as is — that dict shares nothing mutable with the
         # live guest (see GuestVM.state_dict). Rollback loads it, which
@@ -184,29 +352,15 @@ class Checkpointer:
             self.init_cost_ms += self.costs.premap_init_ms(self.nominal_frames)
         if self.fidelity is CopyFidelity.FULL:
             view = vm.memory.view()
-            if self.store is not None:
-                # Content-addressed backup: one key per frame, no flat
-                # copy at all — §2's 2x-memory cost becomes the store's
-                # deduped (and budgeted) resident set. No injector here:
-                # fault planes arm per epoch, and no epoch exists yet.
-                try:
-                    self._backup_keys = [
-                        key for _pfn, key in self.store.ingest_frames(
-                            view, range(vm.memory.frame_count), self.owner)
-                    ]
-                finally:
-                    view.release()
-                if self.history.capacity:
-                    # The ring's base holds its own reference per frame.
-                    for key in self._backup_keys:
-                        self.store.retain(key, self.owner)
-                    self.history.set_base_keys(list(self._backup_keys))
-            else:
-                self._backup_image = bytearray(view)
-                if self.history.capacity:
-                    # Seed the delta chain; every later commit records
-                    # O(dirty).
-                    self.history.set_base(self._backup_image)
+            try:
+                # No injector here: fault planes arm per epoch, and no
+                # epoch exists yet.
+                if self.store is not None:
+                    self._backup = _StoreBackup(self.store, self.owner, view)
+                else:
+                    self._backup = _FlatBackup(view)
+            finally:
+                view.release()
             self._backup_state = vm.state_dict()
             self._backup_taken_at = vm.clock.now
             # Initial full synchronization is a whole-VM copy.
@@ -273,9 +427,11 @@ class Checkpointer:
                 if not outcome.success:
                     # The harvested frames never reached a staged copy;
                     # remember them so rollback still knows what to diff.
+                    # A held epoch dies with this one: drop its refs.
                     self._dirty_since_backup.update(dirty_pfns)
                     if held is not None and held["pfns"] is not None:
                         self._dirty_since_backup.update(held["pfns"])
+                        self._backup.drop(held["staged"])
                     if self._registry is not None:
                         self._copy_retries.inc(outcome.failed_attempts)
                     raise CheckpointError(
@@ -293,31 +449,40 @@ class Checkpointer:
             self.mapping.map_pages(dirty_pfns)
         staged_pfns = None
         staged_view = None
-        staged_keys = None
+        staged = None
         if self.fidelity is CopyFidelity.FULL:
             # Fused harvest+stage: the harvest already walked the bitmap
             # once and produced the sorted dirty-frame list, so staging
             # is just that list plus one read-only view of RAM — no
             # per-frame slicing or copying at all. The domain stays
             # paused from here until commit()/abort(), so the view is
-            # stable for the staging window; commit() copies only what
-            # the delta history must retain.
+            # stable for the staging window. A store-backed backup hashes
+            # the frames into the store here; a flat one copies nothing
+            # until commit().
             if held is not None and held["pfns"] is not None:
                 staged_pfns = sorted(set(dirty_pfns).union(held["pfns"]))
             else:
                 staged_pfns = list(dirty_pfns)
             staged_view = self.domain.vm.memory.view()
             total_dirty = len(staged_pfns) + synthetic_dirty
-            if self.store is not None:
-                staged_keys = self._stage_into_store(
-                    staged_pfns, staged_view, held, phase_ms)
+            try:
+                staged = self._backup.stage(
+                    staged_view, staged_pfns,
+                    held["staged"] if held is not None else None,
+                    phase_ms, self._injector)
+            except StoreIOError:
+                # The disk tier failed dedup verification: the stage
+                # aborts like an exhausted CHECKPOINT_COPY retry, and
+                # the epoch loop escalates to a synchronous rollback.
+                self._dirty_since_backup.update(staged_pfns)
+                raise
         if not self.level.use_premap:
             self.mapping.unmap_pages(dirty_pfns)
 
         self._pending = {
             "pfns": staged_pfns,
             "view": staged_view,
-            "keys": staged_keys,
+            "staged": staged,
             "state": self.domain.vm.state_dict()
             if self.fidelity is CopyFidelity.FULL
             else None,
@@ -338,36 +503,6 @@ class Checkpointer:
         return CheckpointReport(
             self.epoch, len(dirty_pfns), synthetic_dirty, phase_ms, stats
         )
-
-    def _stage_into_store(self, pfns, view, held, phase_ms):
-        """Hash the staged frames into the shared store (one ref each).
-
-        Backoff charged by a faulted spill op lands on the ``copy``
-        phase. A :class:`StoreIOError` (the disk tier failed dedup
-        verification) aborts the stage exactly like an exhausted
-        CHECKPOINT_COPY retry: the harvested frames are remembered for
-        rollback's diff, every reference this stage (and a held
-        predecessor) took is released, and the error escalates to the
-        epoch loop's synchronous-rollback path.
-        """
-        store = self.store
-        try:
-            keys = store.ingest_frames(view, pfns, self.owner,
-                                       injector=self._injector)
-        except StoreIOError:
-            self._dirty_since_backup.update(pfns)
-            if held is not None and held.get("keys"):
-                store.release_many(
-                    [key for _pfn, key in held["keys"]], self.owner)
-            raise
-        finally:
-            phase_ms["copy"] += store.take_backoff_ms()
-        if held is not None and held.get("keys"):
-            # The merged restage re-hashed the pfn union at current
-            # contents; the held epoch's references are superseded.
-            store.release_many(
-                [key for _pfn, key in held["keys"]], self.owner)
-        return keys
 
     def commit(self):
         """Advance the backup to the just-audited state (audit passed).
@@ -415,75 +550,28 @@ class Checkpointer:
             self._commits.inc()
         if self.fidelity is CopyFidelity.FULL:
             pfns = pending["pfns"]
-            view = pending["view"]
             self._backup_state = pending["state"]
             self._backup_taken_at = pending["taken_at"]
-            if self.store is not None:
-                self._commit_store(pending)
-            else:
-                self._propagate_pages(pfns, view)
-                if self.history.capacity:
-                    # O(dirty) delta record — the full image is
-                    # reconstructed lazily if forensics ever reads it.
-                    self.history.record_delta(
-                        epoch=self.epoch,
-                        taken_at=pending["taken_at"],
-                        deltas=((pfn,
-                                 view[pfn * PAGE_SIZE:(pfn + 1) * PAGE_SIZE])
-                                for pfn in pfns),
-                        guest_state=self._backup_state,
-                        dirty_pages=pending["dirty"],
-                        label="epoch-%d" % self.epoch,
-                    )
+            history = self.history
+            undo = self._backup.commit(pfns, pending["view"],
+                                       pending["staged"], history.capacity)
+            if history.capacity:
+                # O(dirty) record: the previous entry keeps the undo
+                # record, and a full image is reconstructed only if
+                # forensics ever reads it.
+                history.record(
+                    self._backup, undo,
+                    epoch=self.epoch,
+                    taken_at=pending["taken_at"],
+                    guest_state=self._backup_state,
+                    dirty_pages=pending["dirty"],
+                    label="epoch-%d" % self.epoch,
+                )
             # The staged frames now match the backup again; anything
             # re-dirtied after staging is still in the live bitmap.
             if self._dirty_since_backup:
                 self._dirty_since_backup.difference_update(pfns)
         return sync
-
-    def _commit_store(self, pending):
-        """Advance the content-addressed backup map to the staged epoch.
-
-        The backup retains each staged page and drops the page it
-        supersedes; the delta ring then absorbs the staging references
-        themselves — a fault-free commit moves keys, never page bytes.
-        """
-        store = self.store
-        keys = pending["keys"]
-        backup_keys = self._backup_keys
-        for pfn, key in keys:
-            store.retain(key, self.owner)
-            superseded = backup_keys[pfn]
-            backup_keys[pfn] = key
-            store.release(superseded, self.owner)
-        if self.history.capacity:
-            self.history.record_delta_keys(
-                epoch=self.epoch,
-                taken_at=pending["taken_at"],
-                delta_keys=keys,
-                guest_state=self._backup_state,
-                dirty_pages=pending["dirty"],
-                label="epoch-%d" % self.epoch,
-            )
-        else:
-            store.release_many([key for _pfn, key in keys], self.owner)
-        pending["keys"] = None
-
-    def _propagate_pages(self, pfns, view):
-        """Scatter the staged frames into the backup image.
-
-        One fancy-indexed row copy — the backup and the staged RAM view
-        are both (frames x PAGE_SIZE) matrices, so the whole delta lands
-        without a per-page Python loop. uint64 rows move the same bytes
-        with 1/8th the elements, measurably faster than a uint8 scatter.
-        """
-        if not pfns:
-            return
-        idx = _np.asarray(pfns, dtype=_np.intp)
-        dst = _np.frombuffer(self._backup_image, dtype=_np.uint64)
-        src = _np.frombuffer(view, dtype=_np.uint64)
-        words = PAGE_SIZE // 8
-        dst.reshape(-1, words)[idx] = src.reshape(-1, words)[idx]
 
     def abort(self):
         """Drop the staged epoch (audit failed); backup stays clean."""
@@ -508,12 +596,8 @@ class Checkpointer:
         """The backup as a :class:`GuestSnapshot` (for dumps/forensics)."""
         if self.fidelity is not CopyFidelity.FULL:
             raise CheckpointError("no backup image in ACCOUNTING fidelity")
-        if self.store is not None:
-            image = self.store.materialize(self._backup_keys)
-        else:
-            image = bytes(self._backup_image)
         return GuestSnapshot(
-            memory_image=image,
+            memory_image=self._backup.materialize(),
             state=copy_state(self._backup_state),
             taken_at=self._backup_taken_at,
         )
@@ -555,41 +639,9 @@ class Checkpointer:
         candidates = self._rollback_candidates()
         # Count how many frames actually differ (that is what a real
         # restore would copy; also what the cost model prices).
-        differing = 0
         ram_view = memory.view()
         try:
-            if self.store is not None:
-                # Store-backed: the backup is a per-frame key map; read
-                # each candidate's clean page out of the store. No LRU
-                # promotion and no fault probes — rollback *is* the
-                # escalation path, so the seam it recovers from must not
-                # be able to block it.
-                store = self.store
-                backup_keys = self._backup_keys
-                for pfn in candidates:
-                    start = pfn * PAGE_SIZE
-                    backup_page = store.get(backup_keys[pfn], promote=False)
-                    if ram_view[start:start + PAGE_SIZE] != backup_page:
-                        differing += 1
-                        memory.write_frame(pfn, backup_page, notify=False)
-            else:
-                backup_view = memoryview(self._backup_image)
-                try:
-                    # Vectorized diff: compare all candidate rows at once,
-                    # then restore only the frames that actually changed.
-                    # (The numpy views live inside the helper so the
-                    # buffer exports are gone before the views are
-                    # released below.)
-                    for pfn in _diff_frames(candidates, ram_view,
-                                            backup_view):
-                        differing += 1
-                        start = pfn * PAGE_SIZE
-                        memory.write_frame(
-                            pfn, backup_view[start : start + PAGE_SIZE],
-                            notify=False,
-                        )
-                finally:
-                    backup_view.release()
+            differing = self._backup.restore(candidates, ram_view, memory)
         finally:
             ram_view.release()
         # load_state_dict copies what it keeps: the backup state stays
@@ -611,6 +663,14 @@ class Checkpointer:
     def backup_taken_at(self):
         return self._backup_taken_at
 
+    @property
+    def staged_pfns(self):
+        """Frames of the staged epoch (empty if none, or in ACCOUNTING)."""
+        pending = self._pending
+        if pending is None or pending["pfns"] is None:
+            return ()
+        return pending["pfns"]
+
     # -- store reference lifecycle ------------------------------------------
 
     def release_staged_refs(self):
@@ -619,29 +679,21 @@ class Checkpointer:
         Idempotent — abort, rollback, quarantine and eviction can race
         to clean up the same staged epoch; the references drop once.
         """
-        if self.store is None or self._pending is None:
-            return
-        keys = self._pending.get("keys")
-        if keys:
-            self.store.release_many(
-                [key for _pfn, key in keys], self.owner)
-            self._pending["keys"] = None
+        if self._pending is not None and self._pending["staged"]:
+            self._backup.drop(self._pending["staged"])
+            self._pending["staged"] = None
 
     def release_store_refs(self):
         """Return every store reference this tenant holds (eviction path).
 
         Order matters for another tenant's safety not at all — the
         store refcounts — but releasing staged refs first keeps the
-        debug counters monotone: backup, ring base and deltas follow.
+        debug counters monotone: undo records and the backup follow. A
+        flat tenant holds no references and drops nothing.
         """
-        if self.store is None:
-            return
         self.release_staged_refs()
-        if isinstance(self.history, StoreBackedHistory):
-            self.history.release_all()
-        if self._backup_keys is not None:
-            self.store.release_many(self._backup_keys, self.owner)
-            self._backup_keys = None
+        if self._backup is not None:
+            self._backup.release(self.history)
 
     # -- accounting ----------------------------------------------------------
 
@@ -651,20 +703,13 @@ class Checkpointer:
         The single accounting definition ``memory_overhead_bytes()`` is
         built on: ACCOUNTING fidelity retains nothing (there is no
         backup image to count); a flat FULL tenant retains its backup
-        image plus whatever its private delta ring holds; a store-backed
-        tenant's pages live in the host's shared store and are counted
-        (deduped) there — reporting 0 here avoids double counting.
+        image plus its history's undo records; a store-backed tenant's
+        pages live in the host's shared store and are counted (deduped)
+        there — reporting 0 here avoids double counting.
         """
-        if self.fidelity is not CopyFidelity.FULL:
+        if self._backup is None:
             return 0
-        if self.store is not None:
-            return 0
-        if self._backup_image is None:
-            return 0
-        retained = len(self._backup_image)
-        if self.history.capacity:
-            retained += self.history.retained_bytes()
-        return retained
+        return self._backup.retained_bytes() + self.history.retained_bytes()
 
     def history_stats(self):
         """Plain-data checkpoint-history state (for incident bundles)."""

@@ -3,13 +3,13 @@
 Flat per-tenant backups double every tenant's memory cost (the paper's
 §2 number); at fleet scale that is the host's dominant overhead, and it
 is structural waste — guests booted from the same image share most of
-their RAM. This module is the storage tier underneath the PR 2 delta
-history that removes the waste:
+their RAM. This module is the storage tier underneath the checkpoint
+backup and its history that removes the waste:
 
 * **Content addressing** — every 4 KiB page is keyed by the sha256 of
   its bytes. A page stored once is stored once for the whole host, no
   matter how many epochs or tenants reference it.
-* **Refcounting** — checkpointer backups, delta-history entries and
+* **Refcounting** — checkpointer backups, history undo records and
   staged (uncommitted) epochs each hold one reference per page; a page
   is freed exactly when the last holder releases it. Per-owner logical
   counts make premature frees and leaks detectable per tenant.

@@ -115,9 +115,10 @@ class CloudHost:
         if record is None:
             raise CrimesError("no tenant named %r" % name)
         # Return every store reference the tenant holds — backup map,
-        # delta ring, any staged epoch — so shared pages another tenant
-        # still references survive while this tenant's exclusive pages
-        # are freed. The leak/premature-free suites pin both directions.
+        # history undo records, any staged epoch — so shared pages
+        # another tenant still references survive while this tenant's
+        # exclusive pages are freed. The leak/premature-free suites pin
+        # both directions.
         record.crimes.checkpointer.release_store_refs()
         self.observer.journal(
             "fleet.evict", tenant=name,
@@ -275,7 +276,7 @@ class CloudHost:
         One accounting definition everywhere (the invariant the store
         equivalence/regression suites pin): bytes the checkpoint tier
         holds resident *right now*. For flat tenants that is each FULL
-        backup image plus its private delta ring — an ACCOUNTING tenant
+        backup image plus its history's undo pages — an ACCOUNTING tenant
         keeps no backup and costs 0, and pages the dedup tier skipped
         are never re-counted. With a shared store it is the store's
         deduped resident set (hot raw + cold compressed), attributed

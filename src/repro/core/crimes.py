@@ -375,7 +375,7 @@ class Crimes:
                 if self.config.scan_enabled:
                     try:
                         detection = self.detector.scan(
-                            dirty_pfns=set(self._last_dirty_pfns(checkpoint)),
+                            dirty_pfns=set(self.checkpointer.staged_pfns),
                             output_buffer=self.buffer,
                             epoch=checkpoint.epoch,
                             now_ms=self.clock.now,
@@ -796,14 +796,6 @@ class Crimes:
                 self.vm, self.checkpointer.backup_snapshot(), epoch
             )
         return verdict
-
-    def _last_dirty_pfns(self, checkpoint_report):
-        # The bitmap was harvested inside run_checkpoint; recover the set
-        # from the staged frame list (FULL) or report nothing (ACCOUNTING).
-        staged = self.checkpointer._pending
-        if staged and staged["pfns"] is not None:
-            return staged["pfns"]
-        return []
 
     def respond(self, detection, interval_ms):
         """Hand the first critical finding to the Analyzer."""

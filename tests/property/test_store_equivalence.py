@@ -4,11 +4,11 @@ The page store's non-negotiable invariant — layering content-addressed,
 refcounted, compressed, spillable storage under the checkpoint tier
 changes *no observable semantics* — checked over randomized multi-tenant
 epoch plans rather than hand-picked ones: random seeds, history
-capacities (ring folds), attack epochs (audit-failure rollbacks), fault
-plans (synchronous-rollback escalations), mid-plan tenant evictions, and
-random store shapes (unbounded, budget-forced compression, spill to
-disk). Each plan runs twice on a ``CloudHost`` — once flat, once
-store-backed — and must agree on:
+capacities (ring evictions), attack epochs (audit-failure rollbacks),
+fault plans (synchronous-rollback escalations, held commits), mid-plan
+tenant evictions, and random store shapes (unbounded, budget-forced
+compression, spill to disk). Each plan runs twice on a ``CloudHost`` —
+once flat, once store-backed — and must agree on:
 
 * every tenant digest, including virtual clocks and the flight
   journal's hash-chain head (the chain covers every journaled event, so
@@ -45,10 +45,13 @@ MIB = 1024 * 1024
 EQUIV_KEYS = ("clock_ms", "epochs_run", "suspended", "quarantined",
               "quarantine_reason", "flight_head")
 
+# BACKUP_SYNC holds commits: held epochs are merged, restaged and
+# committed later, on both backends.
 _FAULT_PLANES = st.sampled_from([
     FaultPlane.CHECKPOINT_COPY,
     FaultPlane.VMI_READ,
     FaultPlane.NETBUF_RELEASE,
+    FaultPlane.BACKUP_SYNC,
 ])
 
 _SCHEDULES = st.one_of(

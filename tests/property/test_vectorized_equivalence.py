@@ -339,7 +339,8 @@ def _make_checkpointer(cls, history_capacity):
 @settings(max_examples=20, deadline=None)
 @given(plan=_EPOCH_PLAN, history=st.sampled_from([0, 2]))
 def test_checkpointer_matches_seed_paths(plan, history):
-    """Fused stage + delta commit/rollback track the seed's full copies."""
+    """Fused stage + undo-record commit/rollback track the seed's full
+    copies: RAM, the backup and every retained history image."""
     fast = _make_checkpointer(Checkpointer, history)
     reference = _make_checkpointer(LegacyCheckpointer, history)
 
@@ -362,6 +363,9 @@ def test_checkpointer_matches_seed_paths(plan, history):
         reference_vm = reference.domain.vm
         assert bytes(fast_vm.memory.view()) == \
             bytes(reference_vm.memory.view())
-        assert bytes(fast._backup_image) == bytes(reference._backup_image)
-        if history:
-            assert len(fast.history) == len(reference.history)
+        assert fast.backup_snapshot().memory_image == \
+            reference.backup_snapshot().memory_image
+        assert [(entry.epoch, entry.memory_image)
+                for entry in fast.history.all()] == \
+            [(entry.epoch, entry.memory_image)
+             for entry in reference.seed_history]

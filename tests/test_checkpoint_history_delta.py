@@ -1,10 +1,13 @@
-"""Delta-encoded checkpoint history: correctness and cost regressions.
+"""Undo-encoded checkpoint history: correctness and cost regressions.
 
-The history ring stores per-epoch ``(pfn, page)`` deltas and
-reconstructs full images lazily; these tests pin (a) byte-identity of
-reconstructed images against eagerly captured full snapshots across
-arbitrary epoch/commit/abort/rollback sequences, and (b) that
-``commit()`` no longer allocates O(RAM) per committed epoch.
+The history ring is anchored on the live backup: each commit's undo
+record (the backup's pre-commit contents of the frames it overwrote)
+restores the previous entry, and full images are reconstructed lazily.
+These tests pin (a) byte-identity of reconstructed images against
+eagerly captured full snapshots across arbitrary
+epoch/commit/abort/rollback sequences, (b) that ``commit()`` no longer
+allocates O(RAM) per committed epoch, and (c) that the ring holds no
+image of its own, flat or store-backed.
 """
 
 import tracemalloc
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checkpoint.checkpointer import Checkpointer
-from repro.checkpoint.snapshot import Checkpoint, CheckpointHistory
+from repro.checkpoint.store import PageStore
 from repro.errors import CheckpointError
 from repro.guest.linux import LinuxGuest
 from repro.guest.memory import PAGE_SIZE
@@ -94,7 +97,7 @@ def test_commit_allocation_does_not_scale_with_ram():
 
 
 def test_history_survives_ring_eviction_with_folding():
-    """Entries remain reconstructible after older deltas are folded."""
+    """Entries remain reconstructible after older undo records drop."""
     domain = make_domain()
     vm = domain.vm
     checkpointer = Checkpointer(domain, history_capacity=2)
@@ -112,58 +115,77 @@ def test_history_survives_ring_eviction_with_folding():
         assert checkpoint.memory_image == images[checkpoint.epoch]
 
 
+def _commit_epoch(checkpointer, writes):
+    """Write ``{pfn: byte}`` into RAM, then stage and commit one epoch."""
+    vm = checkpointer.domain.vm
+    for pfn, byte in writes.items():
+        vm.memory.write(pfn * PAGE_SIZE, bytes([byte]) * PAGE_SIZE)
+    checkpointer.run_checkpoint(interval_ms=20.0)
+    checkpointer.commit()
+    return checkpointer.history.latest()
+
+
 def test_evicted_unmaterialized_checkpoint_raises_clearly():
-    history = CheckpointHistory(capacity=1)
-    history.set_base(b"\x00" * (4 * PAGE_SIZE))
-    first = history.record_delta(
-        epoch=1, taken_at=1.0, deltas=[(0, b"\x01" * PAGE_SIZE)],
-        guest_state={}, label="first")
-    history.record_delta(
-        epoch=2, taken_at=2.0, deltas=[(1, b"\x02" * PAGE_SIZE)],
-        guest_state={}, label="second")
+    checkpointer = Checkpointer(make_domain(), history_capacity=1)
+    checkpointer.start()
+    first = _commit_epoch(checkpointer, {0: 1})
+    _commit_epoch(checkpointer, {1: 2})
+    assert checkpointer.history.all() != [first]
     with pytest.raises(CheckpointError):
         _ = first.memory_image
 
 
 def test_evicted_materialized_checkpoint_keeps_its_image():
-    history = CheckpointHistory(capacity=1)
-    history.set_base(b"\x00" * (2 * PAGE_SIZE))
-    first = history.record_delta(
-        epoch=1, taken_at=1.0, deltas=[(0, b"\x01" * PAGE_SIZE)],
-        guest_state={})
+    checkpointer = Checkpointer(make_domain(), history_capacity=1)
+    checkpointer.start()
+    first = _commit_epoch(checkpointer, {0: 1})
     image = first.memory_image  # materialize before eviction
-    history.record_delta(
-        epoch=2, taken_at=2.0, deltas=[(1, b"\x02" * PAGE_SIZE)],
-        guest_state={})
+    assert image == checkpointer.backup_snapshot().memory_image
+    _commit_epoch(checkpointer, {0: 3, 1: 2})
+    assert checkpointer.history.all() != [first]
     assert first.memory_image == image
+    assert image[:PAGE_SIZE] == b"\x01" * PAGE_SIZE
 
 
-def test_record_delta_without_base_rejected():
-    history = CheckpointHistory(capacity=2)
-    with pytest.raises(CheckpointError):
-        history.record_delta(epoch=1, taken_at=0.0, deltas=[],
-                             guest_state={})
+def test_full_flat_ring_holds_ram_plus_undo_pages_only():
+    """A flat ring keeps no second image: backup + undo pages < 2x RAM."""
+    ram_bytes = 4 * 1024 * 1024
+    checkpointer = Checkpointer(make_domain(memory_bytes=ram_bytes),
+                                history_capacity=3)
+    checkpointer.start()
+    for epoch in range(6):
+        _commit_epoch(checkpointer, {100 + epoch: epoch + 1,
+                                     200 + epoch % 2: epoch + 1})
+    history = checkpointer.history
+    assert len(history) == history.capacity
+    undo_bytes = history.delta_pages_retained() * PAGE_SIZE
+    assert checkpointer.retained_bytes() == ram_bytes + undo_bytes
+    assert checkpointer.retained_bytes() < 2 * ram_bytes
+    assert history.retained_bytes() == undo_bytes
+    # The two older entries each hold the two frames the next commit
+    # overwrote; the newest entry is the live backup itself.
+    assert history.delta_pages_retained() == 4
 
 
-def test_full_records_interleave_with_deltas():
-    """A record()-ed full checkpoint anchors the chain after eviction."""
-    history = CheckpointHistory(capacity=2)
-    full = Checkpoint(epoch=1, taken_at=0.0,
-                      memory_image=b"\x05" * (2 * PAGE_SIZE),
-                      guest_state={})
-    history.record(full)
-    history.record_delta(
-        epoch=2, taken_at=1.0, deltas=[(1, b"\x06" * PAGE_SIZE)],
-        guest_state={})
-    # Evicts the full record; it becomes the fold base.
-    history.record_delta(
-        epoch=3, taken_at=2.0, deltas=[(0, b"\x07" * PAGE_SIZE)],
-        guest_state={})
-    second, third = history.all()
-    assert second.memory_image == b"\x05" * PAGE_SIZE + b"\x06" * PAGE_SIZE
-    assert third.memory_image == b"\x07" * PAGE_SIZE + b"\x06" * PAGE_SIZE
-    assert history.total_recorded == 3
-    assert history.delta_pages_retained() == 2
+def test_store_ring_references_frames_plus_undo_pages():
+    """Store mode: the owner holds one ref per frame and per undo page."""
+    store = PageStore()
+    domain = make_domain(memory_bytes=2 * 1024 * 1024)
+    checkpointer = Checkpointer(domain, history_capacity=3, store=store,
+                                owner="t0")
+    checkpointer.start()
+    for epoch in range(5):
+        _commit_epoch(checkpointer, {10 + epoch: epoch + 1, 3: epoch + 1})
+    history = checkpointer.history
+    assert store.per_tenant()["t0"]["logical_pages"] == (
+        domain.vm.memory.frame_count + history.delta_pages_retained())
+    assert history.delta_pages_retained() == 4
+    assert checkpointer.retained_bytes() == 0
+    images = [entry.memory_image for entry in history.all()]
+    assert [image[3 * PAGE_SIZE] for image in images] == [3, 4, 5]
+    checkpointer.release_store_refs()
+    assert store.unique_pages == 0
+    store.verify_integrity()
 
 
 def test_rollback_differing_count_matches_full_diff():

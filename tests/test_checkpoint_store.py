@@ -294,7 +294,7 @@ class TestAdversarialLifecycles:
     def test_eviction_mid_hold_releases_the_staged_epoch(self):
         # A persistent backup-sync fault holds commits: the pending
         # epoch stays staged (holding store refs) across epochs. Evicting
-        # the tenant in that state must drop staged + backup + ring refs.
+        # the tenant in that state must drop staged + backup + undo refs.
         store = PageStore()
         plan = FaultPlan({FaultPlane.BACKUP_SYNC:
                           FaultSchedule.persistent(start_epoch=2)}, seed=3)
@@ -311,8 +311,14 @@ class TestAdversarialLifecycles:
         host.run(3)
         held = host.tenant("held")
         assert held.epochs_held >= 1
-        assert held.checkpointer._pending is not None
-        assert held.checkpointer._pending["keys"]
+        # The owner's references: one per backup frame, one per undo
+        # page, and one per frame of the held (still staged) epoch.
+        checkpointer = held.checkpointer
+        staged = len(checkpointer.staged_pfns)
+        assert staged
+        assert store.per_tenant()["held"]["logical_pages"] == (
+            checkpointer.domain.vm.memory.frame_count
+            + checkpointer.history.delta_pages_retained() + staged)
         bystander = host.tenant("bystander").checkpointer
         before = bystander.backup_snapshot().memory_image
         host.evict("held")
@@ -350,8 +356,9 @@ class TestAdversarialLifecycles:
         assert store.unique_pages == 0
 
     def test_ring_fold_of_deduped_epochs(self):
-        # capacity 1 folds a delta into the base every commit; fold
-        # transfers references, so the store must end balanced.
+        # capacity 1 evicts the previous entry on every commit, dropping
+        # the undo record the commit just attached to it; the store must
+        # end balanced.
         store = PageStore()
         host = self._shared_host(store, seeds=(11,), history_capacity=1)
         host.run(5)
