@@ -27,6 +27,7 @@ from repro.errors import (
     CheckpointError,
     CrimesError,
     ForensicsError,
+    GuestFault,
     HypervisorError,
     IntrospectionError,
     NetbufReleaseError,
@@ -380,9 +381,12 @@ class Crimes:
                             epoch=checkpoint.epoch,
                             now_ms=self.clock.now,
                         )
-                    except (IntrospectionError, ForensicsError) as err:
+                    except (IntrospectionError, ForensicsError,
+                            GuestFault) as err:
                         # Previously this unwound the whole epoch loop
-                        # silently; now it is observed evidence.
+                        # silently; now it is observed evidence. A
+                        # GuestFault is a read the guest's own pointers
+                        # sent outside RAM.
                         audit_error = err
                         self._audit_error_counter.inc()
                         # Charge the partial audit work the scan did

@@ -13,8 +13,12 @@ hypervisor can read:
 At the end of each epoch this module validates the tripwires whose pages
 were dirtied during the epoch — the dirty-page filter is what makes the
 scan cheap (§5.5: ≈90,000 canaries validated per millisecond). Every
-table, however small, goes through one columnar pass: the dirty filter
-runs over numpy arrays and the intact canaries are charged in bulk.
+table, however small, goes through one columnar pass: one bulk page
+translation, the dirty filter over numpy arrays, one gather of the
+canary values, and one bulk charge per run of canaries between two
+freed-region checks. An entry whose address does not translate (the
+table is guest memory, so it may be hostile) is skipped, like an
+unmapped page.
 """
 
 import numpy as _np
@@ -74,11 +78,14 @@ class CanaryScanModule(ScanModule):
                          findings):
         """Filter one table's entries against the dirty set in bulk.
 
-        The per-entry filter (``translate`` + ``page_is_dirty``) is
-        uncharged host work, so vectorizing it cannot move virtual time;
-        the charged reads then run for exactly the entries — in exactly
-        the table order — a per-entry ``translate`` + read loop would
-        have read.
+        The filter is uncharged host work: one
+        :meth:`~repro.vmi.libvmi.VMIInstance.translate_pages` call maps
+        every entry's probe page to its frame (-1 where ``translate``
+        would refuse it: an unmapped or hostile address, whose entry is
+        skipped), and the dirty test runs over the frame array. So it
+        cannot move virtual time; the charged reads then run for exactly
+        the entries — in exactly the table order — a per-entry
+        ``translate`` + read loop would have read.
         """
         vmi = context.vmi
         is_canary = kinds == KIND_CANARY
@@ -87,20 +94,11 @@ class CanaryScanModule(ScanModule):
         # for live objects, the region start for freed objects (the same
         # VA a per-entry check translates first).
         probe_va = _np.where(is_canary, addrs + sizes, addrs)
-        vpns = probe_va >> _PAGE_SHIFT
-        # Translate each distinct guest page once (objects are dense, so
-        # there are far fewer pages than entries); -1 marks an unmapped
-        # page, whose entries are skipped.
-        uniq, inverse = _np.unique(vpns, return_inverse=True)
-        uniq_pfns = _np.fromiter(
-            (self._pfn_of(vmi, pid, vpn) for vpn in uniq.tolist()),
-            dtype=_np.int64, count=len(uniq),
-        )
-        pfns = uniq_pfns[inverse]
-        mapped = pfns >= 0
+        pfns = vmi.translate_pages(
+            (probe_va >> _PAGE_SHIFT).astype(_np.int64), pid)
         checked = (is_canary | is_freed) if self.check_freed \
             else is_canary.copy()
-        checked &= mapped
+        checked &= pfns >= 0
         if not self.scan_all_pages and context.dirty_pfns is not None:
             dirty = context.dirty_pfns
             dirty_arr = _np.fromiter(dirty, dtype=_np.int64,
@@ -121,86 +119,62 @@ class CanaryScanModule(ScanModule):
         sel = _np.nonzero(checked)[0]
         if not len(sel):
             return
-        # Gather every checked live-object canary in one vectorized read
-        # up front: the domain stays paused for the whole audit, so the
-        # bytes cannot change between here and each entry's turn in the
-        # charge loop below. The loop then replays a per-entry read's
-        # exact charge/probe sequence — interleaved with the
-        # freed-region checks in table order — without per-entry read
-        # plumbing.
-        memory = vmi.vm.memory
+        # The physical address each selected entry's check starts at.
+        sel_pas = (pfns[sel] * PAGE_SIZE
+                   + (probe_va[sel].astype(_np.int64) & (PAGE_SIZE - 1)))
         can_mask = is_canary[sel]
-        can_sel = sel[can_mask]
-        values = None
-        any_bad = False
-        if len(can_sel):
-            pas = (pfns[can_sel] * PAGE_SIZE
-                   + (probe_va[can_sel].astype(_np.int64)
-                      & (PAGE_SIZE - 1)))
-            if int(pas.max()) + 8 <= memory.size:
-                ram = _np.frombuffer(memory.view(), dtype=_np.uint8)
-                values = (ram[pas[:, None] + _np.arange(8)]
-                          .copy().view("<u8").ravel())
-                bad = values != expected
-                any_bad = bool(bad.any())
-        can_list = can_mask.tolist()
-        sel_list = sel.tolist()
-        if values is not None and not any_bad:
-            # Every canary is intact: charge each run of consecutive
-            # canaries in one bulk loop, breaking only for the (much
-            # rarer) freed-region checks so the charge order stays the
-            # table order.
-            run = 0
-            for pos, i in enumerate(sel_list):
-                if can_list[pos]:
-                    run += 1
-                    continue
-                if run:
-                    self._charge_canaries(vmi, run)
-                    run = 0
-                finding = self._validate_freed(
-                    context, pid, int(addrs[i]), int(sizes[i]),
-                    int(pfns[i]) * PAGE_SIZE
-                    + (int(probe_va[i]) & (PAGE_SIZE - 1)),
-                )
+        pas = sel_pas[can_mask]
+        memory = vmi.vm.memory
+        if len(pas) and int(pas.max()) + 8 > memory.size:
+            # Degenerate gather (a canary hangs off the end of RAM):
+            # really read entry by entry, so the failing read raises at
+            # exactly its turn.
+            for pos, i in enumerate(sel.tolist()):
+                addr, size, pa = int(addrs[i]), int(sizes[i]), \
+                    int(sel_pas[pos])
+                if can_mask[pos]:
+                    finding = self._validate_canary(context, pid, addr, size,
+                                                    expected, pa)
+                else:
+                    finding = self._validate_freed(context, pid, addr, size,
+                                                   pa)
                 if finding is not None:
                     findings.append(finding)
-            if run:
-                self._charge_canaries(vmi, run)
             return
-        vi = 0
-        for pos, i in enumerate(sel_list):
-            if can_list[pos]:
-                if values is not None:
-                    self._charge_canaries(vmi, 1)
-                    if bad[vi]:
-                        findings.append(self._canary_finding(
-                            pid, int(addrs[i]), int(sizes[i]), expected,
-                            int(values[vi]),
-                            int(pfns[i]) * PAGE_SIZE
-                            + (int(probe_va[i]) & (PAGE_SIZE - 1)),
-                        ))
-                    vi += 1
-                    continue
-                # Degenerate gather (a canary hangs off the end of RAM):
-                # really read this entry's canary so the failing read
-                # raises at exactly its turn.
-                finding = self._validate_canary(
-                    context, pid, int(addrs[i]), int(sizes[i]), expected,
-                    int(pfns[i]) * PAGE_SIZE
-                    + (int(probe_va[i]) & (PAGE_SIZE - 1)),
-                )
-            else:
-                finding = self._validate_freed(
-                    context, pid, int(addrs[i]), int(sizes[i]),
-                    int(pfns[i]) * PAGE_SIZE
-                    + (int(probe_va[i]) & (PAGE_SIZE - 1)),
-                )
+        # Gather every checked live-object canary in one vectorized read
+        # up front: the domain stays paused for the whole audit, so the
+        # bytes cannot change before each entry's turn in the charge
+        # order below. Each run of canaries between two freed-region
+        # checks is then one bulk charge, so the loop visits the (much
+        # rarer) freed checks only and the charges keep the table order.
+        ram = _np.frombuffer(memory.view(), dtype=_np.uint8)
+        values = (ram[pas[:, None] + _np.arange(8)]
+                  .copy().view("<u8").ravel())
+        found = []  # (position in sel, finding): sorted to table order
+        start = 0
+        for pos in _np.flatnonzero(~can_mask).tolist():
+            if pos > start:
+                self._charge_canaries(vmi, pos - start)
+            start = pos + 1
+            i = sel[pos]
+            finding = self._validate_freed(context, pid, int(addrs[i]),
+                                           int(sizes[i]), int(sel_pas[pos]))
             if finding is not None:
-                findings.append(finding)
+                found.append((pos, finding))
+        if len(sel) > start:
+            self._charge_canaries(vmi, len(sel) - start)
+        bad = values != expected
+        for pos, value in zip(_np.flatnonzero(can_mask)[bad].tolist(),
+                              values[bad].tolist()):
+            i = sel[pos]
+            found.append((pos, self._canary_finding(
+                pid, int(addrs[i]), int(sizes[i]), expected, value,
+                int(sel_pas[pos]))))
+        found.sort(key=lambda item: item[0])
+        findings.extend(finding for _pos, finding in found)
 
     def _charge_canaries(self, vmi, count):
-        """Charge ``count`` intact canary validations and count them.
+        """Charge ``count`` canary validations and count them.
 
         A faulted read raises after the validations before it were
         charged; those still count as checked.
@@ -211,13 +185,6 @@ class CanaryScanModule(ScanModule):
             self.canaries_checked += err.reads_done
             raise
         self.canaries_checked += count
-
-    @staticmethod
-    def _pfn_of(vmi, pid, vpn):
-        try:
-            return vmi.translate(vpn * PAGE_SIZE, pid=pid) // PAGE_SIZE
-        except IntrospectionError:
-            return -1
 
     # -- live-object canaries ----------------------------------------------
 

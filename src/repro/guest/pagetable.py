@@ -6,6 +6,8 @@ sparse tables built as their regions are allocated. Introspection performs
 the same translations from outside the guest.
 """
 
+import numpy as _np
+
 from repro.errors import PageFault
 from repro.guest.memory import PAGE_SIZE
 
@@ -18,12 +20,18 @@ class PageTable:
 
     def __init__(self):
         self._entries = {}
+        #: ``(vpns, pfns)`` as VPN-sorted int64 arrays for bulk lookups:
+        #: derived from ``_entries``, dropped by every change to it and
+        #: never part of :meth:`state_dict`.
+        self._arrays = None
 
     def map(self, vpn, pfn, writable=True):
         self._entries[vpn] = (pfn, writable)
+        self._arrays = None
 
     def unmap(self, vpn):
         self._entries.pop(vpn, None)
+        self._arrays = None
 
     def translate(self, vaddr):
         """Translate a virtual address to a physical address."""
@@ -49,11 +57,31 @@ class PageTable:
         """The physical frame backing ``vaddr``."""
         return self.translate(vaddr) // PAGE_SIZE
 
+    def frames_of(self, vpns):
+        """The frame behind each VPN of the int64 array ``vpns``.
+
+        One ``searchsorted`` over the cached sorted arrays; -1 marks a
+        VPN with no mapping.
+        """
+        if self._arrays is None:
+            count = len(self._entries)
+            keys = _np.fromiter(self._entries, dtype=_np.int64, count=count)
+            frames = _np.fromiter((pfn for pfn, _ in self._entries.values()),
+                                  dtype=_np.int64, count=count)
+            order = _np.argsort(keys)
+            self._arrays = (keys[order], frames[order])
+        keys, frames = self._arrays
+        if not len(keys):
+            return _np.full(len(vpns), -1, dtype=_np.int64)
+        slots = _np.minimum(_np.searchsorted(keys, vpns), len(keys) - 1)
+        return _np.where(keys[slots] == vpns, frames[slots], -1)
+
     def state_dict(self):
         return {"entries": self._entries.copy()}
 
     def load_state_dict(self, state):
         self._entries = state["entries"].copy()
+        self._arrays = None
 
 
 def kernel_va(paddr):

@@ -8,6 +8,8 @@ trick for reproducible distributed-systems simulation.
 import hashlib
 import random
 
+import numpy as _np
+
 
 def derive_seed(root_seed, label):
     """Derive a stable 64-bit seed from ``root_seed`` and a string label."""
@@ -51,6 +53,24 @@ class SeededStream:
 
     def random(self):
         return self._rng.random()
+
+    def randoms(self, n):
+        """``n`` successive :meth:`random` draws as a float64 array.
+
+        Bit for bit the scalar draws, and the stream is left where they
+        would leave it. One ``getrandbits(64 * n)`` call hands out the
+        next 2n MT19937 words, least significant first, and each double
+        is rebuilt from its word pair with CPython's own ``random()``
+        formula, which is exact in float64.
+        """
+        if n <= 0:
+            return _np.empty(0)
+        words = _np.frombuffer(
+            self._rng.getrandbits(64 * n).to_bytes(8 * n, "little"),
+            dtype="<u4",
+        )
+        return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) \
+            * (1.0 / 9007199254740992.0)
 
     def jitter(self, value, fraction):
         """Return ``value`` perturbed by up to ±``fraction`` of itself."""

@@ -12,7 +12,7 @@ import struct
 
 import numpy as _np
 
-from repro.errors import IntrospectionError
+from repro.errors import IntrospectionError, PageFault
 from repro.faults.planes import FaultPlane
 from repro.guest.layout import cstring
 from repro.guest.memory import PAGE_SIZE
@@ -24,6 +24,9 @@ from repro.vmi.osprofile import profile_for
 
 #: Sanity bound used when walking linked lists in untrusted guest memory.
 _MAX_LIST_LENGTH = 65536
+
+#: First page of the kernel direct map.
+_KERNEL_VPN = KERNEL_BASE // PAGE_SIZE
 
 
 class ProcessInfo:
@@ -179,15 +182,47 @@ class VMIInstance:
         return self._symbols.lookup(name)
 
     def translate(self, vaddr, pid=0):
-        """VA -> PA. ``pid=0`` means kernel address space."""
-        if pid == 0 or vaddr >= KERNEL_BASE:
-            return kernel_pa(vaddr)
-        process = self.vm.processes.get(pid) if hasattr(self.vm, "processes") else None
-        if process is None:
-            raise IntrospectionError(
-                "cannot translate user address for unknown pid %d" % pid
-            )
-        return process.page_table.translate(vaddr)
+        """VA -> PA. ``pid=0`` means kernel address space.
+
+        ``pid=0`` or an address at or above ``KERNEL_BASE`` goes through
+        the kernel direct map; anything else through ``pid``'s page
+        table. An address with no translation — below the direct map in
+        kernel space, unmapped, or of an unknown pid — raises
+        :class:`IntrospectionError` (LibVMI's ``VMI_FAILURE``): such
+        addresses come from guest memory, so the audit must see a failed
+        introspection, not a guest fault.
+        """
+        try:
+            if pid == 0 or vaddr >= KERNEL_BASE:
+                return kernel_pa(vaddr)
+            page_table = self._page_table_of(pid)
+            if page_table is None:
+                raise IntrospectionError(
+                    "cannot translate user address for unknown pid %d" % pid
+                )
+            return page_table.translate(vaddr)
+        except PageFault as err:
+            raise IntrospectionError(str(err)) from err
+
+    def translate_pages(self, vpns, pid=0):
+        """Frame number of each page of ``vpns`` under :meth:`translate`.
+
+        The bulk form of ``translate(vpn * PAGE_SIZE, pid) // PAGE_SIZE``
+        over an integer array, with its address rules; -1 marks a page
+        that ``translate`` would refuse. Uncharged, like ``translate``.
+        """
+        vpns = _np.asarray(vpns, dtype=_np.int64)
+        kernel = vpns >= _KERNEL_VPN
+        page_table = None if pid == 0 else self._page_table_of(pid)
+        user = _np.full(len(vpns), -1, dtype=_np.int64) \
+            if page_table is None else page_table.frames_of(vpns)
+        return _np.where(kernel, vpns - _KERNEL_VPN, user)
+
+    def _page_table_of(self, pid):
+        """The page table of live process ``pid``, or None."""
+        processes = getattr(self.vm, "processes", None)
+        process = processes.get(pid) if processes is not None else None
+        return None if process is None else process.page_table
 
     def read_pa(self, paddr, length):
         # Charge proportionally to the bytes moved (min one cache line):
@@ -472,29 +507,48 @@ class VMIInstance:
         the accumulator in that order. The canary scan pairs this with
         one vectorized gather of the canary values, so a dirty epoch's
         thousands of validations stop paying the per-call read plumbing.
-        The fault is probed per read only when the VMI_READ plane is
-        armed this epoch. A fail-mode fault raises at its read with the
-        reads before it charged; the error's ``reads_done`` counts them.
+
+        The charge is computed in bulk. The 2n jitter draws come from one
+        :meth:`SeededStream.randoms` call, each term is ``jitter``'s own
+        product, and ``np.cumsum`` folds the interleaved terms onto the
+        accumulator strictly left to right, so the float is the one n
+        scalar charges would leave. When the VMI_READ plane is armed
+        this epoch, a latency fault adds its magnitude as a third term
+        per read. A fail or corrupt fault is probed per read first (its
+        ``fires()`` draws from the fault's own stream), up to its first
+        shot at read k; then exactly 2k + 1 jitter draws are charged —
+        every read before k and read k's read charge — and the error
+        raises with ``reads_done`` = k.
         """
-        jitter = self._jitter_rng.jitter
-        fraction = self.costs.JITTER
         read_ms = (self.costs.PER_PAGE_READ_US * max(8, 64)
                    / float(PAGE_SIZE)) / 1000.0
         canary_ms = self.costs.PER_CANARY_US / 1000.0
         fault = self._armed_read_fault()
-        cost = self._cost_ms
-        done = 0
-        try:
-            for done in range(count):
-                cost += jitter(read_ms, fraction)
-                if fault is not None:
-                    cost += self._read_fault_ms(fault)
-                cost += jitter(canary_ms, fraction)
-        except IntrospectionError as err:
-            err.reads_done = done
-            raise
-        finally:
-            self._cost_ms = cost
+        reads, error = count, None
+        if fault is not None and fault.mode != "latency":
+            for k in range(count):
+                try:
+                    self._read_fault_ms(fault)
+                except IntrospectionError as err:
+                    reads, error = k, err
+                    break
+        # The accumulator, then each read's read and canary terms.
+        terms = _np.empty(1 + 2 * reads + (error is not None))
+        terms[0] = self._cost_ms
+        terms[1::2] = read_ms
+        terms[2::2] = canary_ms
+        fraction = self.costs.JITTER
+        if fraction > 0:
+            lo, hi = 1.0 - fraction, 1.0 + fraction
+            terms[1:] *= lo + (hi - lo) * self._jitter_rng.randoms(
+                len(terms) - 1)
+        if fault is not None and fault.mode == "latency":
+            terms = _np.insert(terms, _np.arange(2, len(terms), 2),
+                               fault.magnitude_ms)
+        self._cost_ms = float(_np.cumsum(terms)[-1])
+        if error is not None:
+            error.reads_done = reads
+            raise error
 
     def list_sockets(self):
         """Open TCP endpoints, live (Linux socket list / Windows pool)."""

@@ -24,10 +24,13 @@ from repro.detectors.canary import CanaryScanModule
 from repro.errors import IntrospectionError
 from repro.faults import FaultPlan, FaultPlane, FaultSchedule
 from repro.faults.injector import FaultInjector
+from repro.guest.heap import CANARY_ENTRY, CANARY_TABLE_HEADER
 from repro.guest.layout import StructDef
 from repro.guest.linux import LinuxGuest
 from repro.guest.memory import PAGE_SIZE
+from repro.guest.pagetable import KERNEL_BASE
 from repro.hypervisor.xen import Hypervisor
+from repro.vmi.costmodel import VmiCostModel
 from repro.vmi.libvmi import VMIInstance
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -107,17 +110,27 @@ def _heap_scenario(draw):
         scribbled = draw(st.sets(st.sampled_from(sorted(freed)), max_size=3))
     else:
         scribbled = set()
+    # Hostile table entries: an object address rewritten to a user page
+    # the process never mapped, or to a kernel direct-map alias of a
+    # heap byte.
+    corrupted = draw(st.lists(
+        st.tuples(index, st.sampled_from(["unmapped", "kernel"]),
+                  st.integers(0, 16 * PAGE_SIZE - 1)),
+        max_size=min(n, 2), unique_by=lambda entry: entry[0]))
     dirty_salt = draw(st.integers(0, 2 ** 32 - 1))
     dirty_pct = draw(st.integers(0, 100))
     scan_all = draw(st.booleans())
+    jitter = draw(st.sampled_from([0.03, 0.0]))
     return {
         "sizes": sizes,
         "freed": sorted(freed),
         "clobbered": sorted(clobbered),
         "scribbled": sorted(scribbled),
+        "corrupted": corrupted,
         "dirty_salt": dirty_salt,
         "dirty_pct": dirty_pct,
         "scan_all": scan_all,
+        "jitter": jitter,
     }
 
 
@@ -145,8 +158,23 @@ def _scan_once(scenario, module, injector=None):
     for index in scenario["scribbled"]:
         # A dangling write into the freed region's poison fill.
         process.write(addrs[index], b"Z")
+    heap_base, _heap_end = process.region_range("heap")
+    for index, target, offset in scenario["corrupted"]:
+        # Entry ``index`` belongs to the index-th allocation: entries are
+        # appended by malloc and converted in place by free.
+        if target == "unmapped":
+            addr = 0x66600000 + offset
+        else:
+            addr = KERNEL_BASE + process.page_table.translate(
+                heap_base + offset)
+        process.write_u64(
+            process.heap.table_va + CANARY_TABLE_HEADER.size
+            + index * CANARY_ENTRY.size + CANARY_ENTRY.offset_of("addr"),
+            addr,
+        )
 
-    vmi = VMIInstance(domain, seed=5)
+    vmi = VMIInstance(domain, seed=5,
+                      cost_model=VmiCostModel(JITTER=scenario["jitter"]))
     if scenario["scan_all"]:
         dirty = None
     else:
@@ -180,8 +208,8 @@ def _scan_once(scenario, module, injector=None):
 def _scenario(sizes, **overrides):
     """A fixed heap scenario (the explicit small-table examples)."""
     scenario = {"sizes": sizes, "freed": [], "clobbered": [],
-                "scribbled": [], "dirty_salt": 0, "dirty_pct": 100,
-                "scan_all": False}
+                "scribbled": [], "corrupted": [], "dirty_salt": 0,
+                "dirty_pct": 100, "scan_all": False, "jitter": 0.03}
     scenario.update(overrides)
     return scenario
 
@@ -208,7 +236,10 @@ def test_slab_canary_scan_matches_seed_loop(scenario):
 @given(scenario=_heap_scenario())
 def test_scan_all_pages_ignores_dirty_filter(scenario):
     """scan_all_pages=True checks everything on both implementations."""
-    scenario = dict(scenario, scan_all=True)
+    # An entry rewritten to an unmapped page has nothing to check, so
+    # only the kernel-alias rewrites take part here.
+    scenario = dict(scenario, scan_all=True, corrupted=[
+        entry for entry in scenario["corrupted"] if entry[1] == "kernel"])
     fast = _scan_once(scenario, CanaryScanModule(scan_all_pages=True))
     reference = _scan_once(
         scenario, LegacyCanaryScanModule(scan_all_pages=True))

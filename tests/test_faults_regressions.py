@@ -1,6 +1,6 @@
 """Regression tests for fault-path races and silent-unwind bugs.
 
-Three formerly-latent behaviours, pinned down:
+Four formerly-latent behaviours, pinned down:
 
 * ``OutputBuffer.release()`` for an epoch a rollback already discarded
   must be a counted no-op, never a late leak;
@@ -9,7 +9,11 @@ Three formerly-latent behaviours, pinned down:
 * an audit that *raises* (``IntrospectionError``/``ForensicsError``)
   used to unwind the epoch loop silently; it must now be observed
   evidence (counter + journal) that escalates to a synchronous
-  rollback, after which the VM keeps running.
+  rollback, after which the VM keeps running;
+* a hostile address in guest memory (a canary-table entry or a task
+  pointer the introspection cannot translate or read) used to crash the
+  epoch loop with a guest fault; an untranslatable canary is skipped,
+  and an audit that faults escalates like any other audit error.
 """
 
 import pytest
@@ -18,11 +22,15 @@ from repro.core.async_scan import AsyncScanner
 from repro.core.config import CrimesConfig
 from repro.core.crimes import Crimes
 from repro.detectors import SyscallTableModule
+from repro.detectors.canary import CanaryScanModule
+from repro.detectors.malware import MalwareScanModule
 from repro.errors import ForensicsError
 from repro.faults import FaultPlan, FaultPlane, FaultSchedule
 from repro.faults.chaos import run_chaos
 from repro.guest.devices import DiskWrite, OutputSink, Packet
-from repro.guest.linux import LinuxGuest
+from repro.guest.heap import CANARY_ENTRY, CANARY_TABLE_HEADER
+from repro.guest.linux import TASK_STRUCT, LinuxGuest
+from repro.guest.pagetable import KERNEL_BASE, kernel_pa
 from repro.netbuf.buffer import BufferMode, OutputBuffer
 from repro.obs import MetricsRegistry
 from repro.obs.flight import FlightRecorder
@@ -240,3 +248,74 @@ class TestAuditErrorObservability:
         assert crimes.records[1].outcome == "rolled-back"
         assert crimes.fault_rollbacks == 1
         assert crimes.epochs_run == 4 and crimes.records[-1].committed
+
+
+class TestHostileGuestAddresses:
+    """Addresses read from guest memory are attacker-controlled."""
+
+    def make_crimes(self, module):
+        vm = LinuxGuest(name="hostile", memory_bytes=4 * 1024 * 1024,
+                        seed=11)
+        crimes = Crimes(vm, CrimesConfig(epoch_interval_ms=20.0, seed=11))
+        crimes.install_module(module)
+        crimes.add_program(KeyValueStoreProgram(seed=11))
+        return crimes
+
+    @pytest.mark.parametrize("clobber", [False, True])
+    def test_untranslatable_canary_entry_is_skipped(self, clobber):
+        crimes = self.make_crimes(CanaryScanModule())
+        process = crimes.vm.create_process("victim")
+        objects = [process.malloc(48) for _ in range(4)]
+        crimes.start()
+        assert crimes.run_epoch().committed
+
+        table_va = process.heap.table_va
+        _canary, addrs, _sizes, _kinds = crimes.vmi.read_canary_table_slab(
+            process.pid, table_va)
+        index = addrs.tolist().index(objects[1])
+        # Point one entry at a user page the process never mapped.
+        process.write_u64(
+            table_va + CANARY_TABLE_HEADER.size
+            + index * CANARY_ENTRY.size + CANARY_ENTRY.offset_of("addr"),
+            0x66600000,
+        )
+        if clobber:
+            # A real overflow elsewhere in the same table.
+            process.write(objects[3] + 48, b"\xee" * 8)
+
+        record = crimes.run_epoch()
+        if not clobber:
+            assert record.committed and record.outcome == "committed"
+            return
+        assert record.outcome == "attack"
+        (finding,) = record.detection.critical_findings()
+        assert finding.kind == "buffer-overflow"
+        assert finding.details["object_addr"] == objects[3]
+
+    @pytest.mark.parametrize("tasks_next, error", [
+        (0x1000, "IntrospectionError"),
+        (KERNEL_BASE + 2 ** 40, "PhysicalAccessError"),
+    ])
+    def test_wild_task_pointer_escalates_to_rollback(self, tasks_next,
+                                                     error):
+        crimes = self.make_crimes(MalwareScanModule())
+        vm = crimes.vm
+        crimes.start()
+        assert crimes.run_epoch().committed
+
+        # 0x1000 is below the kernel direct map; KERNEL_BASE + 2**40
+        # translates to a frame far outside RAM.
+        TASK_STRUCT.write_field(
+            vm.memory, kernel_pa(vm.symbols.lookup("init_task")),
+            "tasks_next", tasks_next,
+        )
+        record = crimes.run_epoch()
+
+        assert record.outcome == "rolled-back" and not record.committed
+        (rollback,) = crimes.observer.flight.events(kind="epoch.rolled_back")
+        assert rollback.attrs["reason"] == "audit-error"
+        (observed,) = crimes.observer.flight.events(kind="fault.observed")
+        assert observed.attrs["site"] == "audit"
+        assert observed.attrs["error"] == error
+        # The rollback restored the clean task list; the VM runs on.
+        assert crimes.run_epoch().committed

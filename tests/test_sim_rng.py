@@ -1,5 +1,8 @@
 """Unit tests for seeded RNG streams."""
 
+import numpy as np
+import pytest
+
 from repro.sim.rng import SeededStream, derive_seed
 
 
@@ -45,3 +48,18 @@ def test_jitter_bounds():
 
 def test_jitter_zero_fraction_is_identity():
     assert SeededStream(1, "j").jitter(42.0, 0.0) == 42.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_randoms_are_the_scalar_draws(seed):
+    bulk = SeededStream(seed, "bulk")
+    twin = SeededStream(seed, "bulk")
+    for n in (0, 1, 2, 3, 2048, 12783):
+        drawn = bulk.randoms(n)
+        assert drawn.dtype == np.float64 and drawn.shape == (n,)
+        # Exact float equality, and the stream left where n scalar
+        # draws leave it.
+        assert drawn.tolist() == [twin.random() for _ in range(n)]
+        assert bulk.random() == twin.random()
+    assert [bulk.jitter(2.0, 0.03) for _ in range(16)] == \
+        [twin.jitter(2.0, 0.03) for _ in range(16)]

@@ -1,9 +1,14 @@
 """Unit tests for the LibVMI-alike introspection layer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import IntrospectionError, SymbolNotFound
-from repro.guest.linux import SYSCALL_COUNT, KERNEL_TEXT_BASE
+from repro.guest.linux import SYSCALL_COUNT, KERNEL_TEXT_BASE, LinuxGuest
+from repro.guest.memory import PAGE_SIZE
+from repro.guest.pagetable import KERNEL_BASE
+from repro.guest.process import HEAP_BASE
+from repro.hypervisor.xen import Hypervisor
 from repro.vmi.libvmi import VMIInstance
 
 
@@ -122,6 +127,58 @@ def test_translate_user_address(vmi, linux_domain):
 def test_translate_unknown_pid_rejected(vmi):
     with pytest.raises(IntrospectionError):
         vmi.translate(0x10000000, pid=424242)
+
+
+_HEAP_VPN = HEAP_BASE // PAGE_SIZE
+_KERNEL_VPN = KERNEL_BASE // PAGE_SIZE
+
+#: Mapped heap pages and their unmapped edges, anywhere in user space,
+#: and the kernel direct map from just below its first page.
+_VPN_ARRAYS = st.lists(st.one_of(
+    st.integers(_HEAP_VPN - 4, _HEAP_VPN + 12),
+    st.integers(0, 2 ** 36),
+    st.integers(_KERNEL_VPN - 2, _KERNEL_VPN + 4096),
+), max_size=48)
+
+
+def _translate_each(vmi, vpns, pid):
+    frames = []
+    for vpn in vpns:
+        try:
+            frames.append(vmi.translate(vpn * PAGE_SIZE, pid=pid) // PAGE_SIZE)
+        except IntrospectionError:
+            frames.append(-1)
+    return frames
+
+
+@settings(max_examples=25, deadline=None)
+@given(picks=_VPN_ARRAYS)
+def test_translate_pages_matches_translate(picks):
+    vm = LinuxGuest(name="bulk-translate", memory_bytes=4 * 1024 * 1024,
+                    seed=4)
+    vmi = VMIInstance(Hypervisor(clock=vm.clock).create_domain(vm), seed=4)
+    pid = vm.create_process("subject", heap_pages=8).pid
+    clean = vm.state_dict()
+    # The pages the table changes below are always probed.
+    vpns = picks + [_HEAP_VPN - 1, _HEAP_VPN + 1]
+
+    def check():
+        for who in (pid, 0, 424242):
+            assert vmi.translate_pages(vpns, who).tolist() == \
+                _translate_each(vmi, vpns, who)
+
+    check()
+    table = vm.processes[pid].page_table
+    table.map(_HEAP_VPN - 1, 900)
+    check()
+    table.unmap(_HEAP_VPN + 1)
+    check()
+    vm.load_state_dict(clean)  # a rollback
+    check()
+    vm.exit_process(pid)  # release_frames
+    check()
+    vm.load_state_dict(clean)
+    check()
 
 
 def test_read_struct_by_name(vmi, linux_domain):
