@@ -4,219 +4,28 @@ Usage::
 
     python -m repro <experiment> [options]
 
-Experiments: ``table1``, ``table3``, ``fig3``, ``fig4``, ``fig5``,
-``fig6a``, ``fig6b``, ``fig7``, ``fig8``, ``case1``, ``case2``,
-``claims``, ``list``; plus ``metrics`` (instrumented run exporting the
-``repro.obs`` summary — JSON, Prometheus text, JSONL trace, or a
-``BENCH_*.json`` file), ``incident`` (canned canary-smash run that
-dumps and validates a ``crimes-obs/2`` incident bundle), ``chaos``
-(deterministic fault-injection run with a safety-invariant verdict and
-a replayable journal artifact), ``fleet`` (sharded multi-tenant run
-across worker processes with an optional serial-equivalence check), and
-``serve`` (the incident case service: an HTTP control plane over a
-tamper-evident case vault, with ``--demo-fleet`` self-population).
+The paper artifacts (``table1``, ``table3``, ``fig3`` ... ``fig8``,
+``safety``, ``case1``, ``case2``, ``case2-hidden``) come from
+:data:`repro.experiments.paper.ARTIFACTS`: each prints its committed
+``benchmarks/results/<name>.txt`` byte for byte. ``verify`` re-measures
+every row of :data:`repro.experiments.paper.CLAIMS`, prints the paper
+value beside each measurement, and exits 1 when any claim fails.
+``list`` names every command. The rest: ``metrics`` (instrumented run
+exporting the ``repro.obs`` summary — JSON, Prometheus text, JSONL
+trace, or a ``BENCH_*.json`` file), ``incident`` (canned canary-smash
+run that dumps and validates a ``crimes-obs/2`` incident bundle),
+``chaos`` (deterministic fault-injection run with a safety-invariant
+verdict and a replayable journal artifact), ``fleet`` (sharded
+multi-tenant run across worker processes with an optional
+serial-equivalence check), ``serve`` (the incident case service: an
+HTTP control plane over a tamper-evident case vault, with
+``--demo-fleet`` self-population), and ``lint`` (crimeslint).
 """
 
 import argparse
 import sys
 
-from repro.core.crimes import PHASE_ORDER
-from repro.metrics.tables import format_series, format_table
-
-
-def _cmd_table1(args):
-    from repro.experiments import table1_cost_breakdown
-
-    rows = table1_cost_breakdown(epochs=args.epochs)
-    return format_table(
-        rows,
-        ["workload", "suspend", "vmi", "bitscan", "map", "copy", "resume",
-         "dirty_pages"],
-        title="Table 1 - pause-phase cost (ms), no-opt, 20 ms epochs",
-    )
-
-
-def _cmd_table3(args):
-    from repro.experiments import table3_vmi_costs
-
-    rows = table3_vmi_costs(iterations=args.iterations)
-    lines = ["Table 3 - LibVMI analysis costs (microseconds)"]
-    for scan in ("process-list", "module-list"):
-        lines.append(
-            "  %-13s init=%7.0f  preprocess=%7.0f  analysis=%7.1f"
-            % (scan, rows[scan]["initialization_us"],
-               rows[scan]["preprocessing_us"],
-               rows[scan]["memory_analysis_us"])
-        )
-    lines.append(
-        "  volatility    init=%7.0f  process-scan=%7.0f"
-        % (rows["volatility"]["initialization_us"],
-           rows["volatility"]["process_scan_us"])
-    )
-    return "\n".join(lines)
-
-
-def _cmd_fig3(args):
-    from repro.experiments import fig3_parsec_overhead
-    from repro.workloads.parsec import parsec_names
-
-    results = fig3_parsec_overhead()
-    schemes = ["full", "pre-map", "memcpy", "no-opt", "AS"]
-    rows = [
-        {"benchmark": benchmark,
-         **{scheme: "%.3f" % results[scheme][benchmark]
-            for scheme in schemes}}
-        for benchmark in parsec_names() + ["geomean"]
-    ]
-    return format_table(
-        rows, ["benchmark"] + schemes,
-        title="Figure 3 - normalized PARSEC runtime, 200 ms interval",
-    )
-
-
-def _cmd_fig4(args):
-    from repro.experiments import fig4_swaptions_breakdown
-
-    results = fig4_swaptions_breakdown()
-    rows = [
-        {"level": level,
-         **{phase: "%.2f" % results[level][phase] for phase in PHASE_ORDER},
-         "total": "%.2f" % results[level]["total"]}
-        for level in ("full", "pre-map", "memcpy", "no-opt")
-    ]
-    return format_table(
-        rows, ["level"] + list(PHASE_ORDER) + ["total"],
-        title="Figure 4 - swaptions pause breakdown (ms), 200 ms epochs",
-    )
-
-
-def _cmd_fig5(args):
-    from repro.experiments import fig5_interval_sweep
-
-    results = fig5_interval_sweep()
-    sections = []
-    for benchmark, series in results.items():
-        sections.append(
-            format_table(
-                [
-                    {"interval": row["interval"],
-                     "norm_runtime": "%.3f" % row["normalized_runtime"],
-                     "pause_ms": "%.2f" % row["pause_ms"],
-                     "dirty_pages": "%.0f" % row["dirty_pages"]}
-                    for row in series
-                ],
-                ["interval", "norm_runtime", "pause_ms", "dirty_pages"],
-                title="Figure 5 [%s]" % benchmark,
-            )
-        )
-    return "\n\n".join(sections)
-
-
-def _cmd_fig6a(args):
-    from repro.experiments import fig6a_fluidanimate
-
-    results = fig6a_fluidanimate()
-    return "\n\n".join(
-        format_series(
-            "Figure 6a - fluidanimate [%s]" % level,
-            [row["interval"] for row in series],
-            [row["normalized_runtime"] for row in series],
-            x_label="interval_ms", y_label="norm_runtime",
-        )
-        for level, series in results.items()
-    )
-
-
-def _cmd_fig6b(args):
-    from repro.experiments import fig6b_bitmap_scan
-
-    rows = fig6b_bitmap_scan()
-    return format_table(
-        [
-            {"size_gb": row["size_gb"],
-             "bit_by_bit_ms": "%.2f" % row["not_optimized_ms"],
-             "word_chunk_ms": "%.3f" % row["optimized_ms"]}
-            for row in rows
-        ],
-        ["size_gb", "bit_by_bit_ms", "word_chunk_ms"],
-        title="Figure 6b - bitmap scan cost vs VM size",
-    )
-
-
-def _cmd_fig7(args):
-    from repro.experiments import fig7_web_performance
-
-    results = fig7_web_performance(duration_ms=args.duration_ms)
-    lines = [
-        "Figure 7 - web server under wrk",
-        "baseline: %.2f ms latency, %.0f req/s"
-        % (results["baseline"]["latency_ms"],
-           results["baseline"]["throughput_rps"]),
-    ]
-    for label in ("synchronous", "best_effort"):
-        lines.append("")
-        lines.append(
-            format_table(
-                [
-                    {"interval": row["interval"],
-                     "latency_ms": "%.2f" % row["latency_ms"],
-                     "norm_latency": "%.2f" % row["norm_latency"],
-                     "throughput": "%.0f" % row["throughput_rps"],
-                     "norm_throughput": "%.3f" % row["norm_throughput"]}
-                    for row in results[label]
-                ],
-                ["interval", "latency_ms", "norm_latency", "throughput",
-                 "norm_throughput"],
-                title=label,
-            )
-        )
-    return "\n".join(lines)
-
-
-def _cmd_fig8(args):
-    from repro.experiments import fig8_attack_timeline
-
-    fig8 = fig8_attack_timeline(interval_ms=args.interval_ms)
-    lines = ["Figure 8 - attack detection timeline (offsets from exploit)"]
-    for label, offset in fig8["milestones"]:
-        lines.append("  %12.3f ms  %s" % (offset, label))
-    lines.append("")
-    lines.append("pinpoint: %r" % fig8["pinpoint"])
-    lines.append("escaped packets: %d" % fig8["escaped_packets"])
-    return "\n".join(lines)
-
-
-def _cmd_case1(args):
-    from repro.experiments import case1_overflow
-
-    case = case1_overflow(interval_ms=args.interval_ms)
-    return case["outcome"].report.render()
-
-
-def _cmd_case2(args):
-    from repro.experiments import case2_malware
-
-    case = case2_malware(interval_ms=args.interval_ms, hide=args.hide)
-    return case["report"].render()
-
-
-def _cmd_safety(args):
-    from repro.experiments import best_effort_window_sweep
-
-    rows = best_effort_window_sweep()
-    return format_table(
-        [
-            {
-                "interval_ms": "%.0f" % row["interval_ms"],
-                "safety": row["safety"],
-                "escaped_packets": row["escaped_packets"],
-                "window_ms": "%.1f" % row["window_ms"],
-            }
-            for row in rows
-        ],
-        ["interval_ms", "safety", "escaped_packets", "window_ms"],
-        title="Window of vulnerability: Synchronous vs Best Effort",
-    )
+from repro.experiments import paper
 
 
 def _cmd_metrics(args):
@@ -727,126 +536,7 @@ def _cmd_lint(args):
     return output
 
 
-def _cmd_claims(args):
-    from repro.experiments import fig4_swaptions_breakdown, remus_comparison
-
-    remus = remus_comparison()
-    fig4 = fig4_swaptions_breakdown()
-    reduction = 1 - fig4["full"]["total"] / fig4["no-opt"]["total"]
-    return "\n".join(
-        [
-            "Headline claims:",
-            "  improvement over Remus: %.1f%% (paper: ~33%%)"
-            % (100 * remus["improvement"]),
-            "  PARSEC overhead @5cps:  %.1f%% (paper: 9.8%%)"
-            % (100 * (remus["crimes_geomean"] - 1)),
-            "  pause reduction:        %.0f%% (paper: 67%%)"
-            % (100 * reduction),
-            "  canary validation:      90000 canaries/ms (paper: 90,000)",
-        ]
-    )
-
-
-def _cmd_verify(args):
-    """Self-check: re-measure every headline claim and report PASS/FAIL."""
-    from repro.experiments import (
-        fig4_swaptions_breakdown,
-        fig6b_bitmap_scan,
-        remus_comparison,
-        table1_cost_breakdown,
-        table3_vmi_costs,
-    )
-
-    checks = []
-
-    remus = remus_comparison()
-    checks.append((
-        "33%% improvement over Remus (measured %.1f%%)"
-        % (100 * remus["improvement"]),
-        0.25 < remus["improvement"] < 0.45,
-    ))
-    checks.append((
-        "9.8%% PARSEC overhead at 5 cps (measured %.1f%%)"
-        % (100 * (remus["crimes_geomean"] - 1)),
-        0.05 < remus["crimes_geomean"] - 1 < 0.16,
-    ))
-
-    fig4 = fig4_swaptions_breakdown()
-    reduction = 1 - fig4["full"]["total"] / fig4["no-opt"]["total"]
-    checks.append((
-        "67%% pause reduction (measured %.0f%%: %.1f -> %.1f ms)"
-        % (100 * reduction, fig4["no-opt"]["total"], fig4["full"]["total"]),
-        0.55 < reduction < 0.75,
-    ))
-    checks.append((
-        "bitscan 2.7 -> 0.14 ms (measured %.2f -> %.2f)"
-        % (fig4["no-opt"]["bitscan"], fig4["full"]["bitscan"]),
-        fig4["full"]["bitscan"] < 0.25 < 1.8 < fig4["no-opt"]["bitscan"],
-    ))
-
-    table1 = {row["workload"]: row for row in
-              table1_cost_breakdown(epochs=20)}
-    checks.append((
-        "Table 1 copy costs ~12.6/14.6/20 ms (measured %.1f/%.1f/%.1f)"
-        % (table1["Light"]["copy"], table1["Medium"]["copy"],
-           table1["High"]["copy"]),
-        10 < table1["Light"]["copy"] < 15
-        and 17 < table1["High"]["copy"] < 23,
-    ))
-
-    table3 = table3_vmi_costs(iterations=10)
-    checks.append((
-        "LibVMI init ~66 ms / analysis ~1.4 ms (measured %.1f / %.2f)"
-        % (table3["process-list"]["initialization_us"] / 1000.0,
-           table3["process-list"]["memory_analysis_us"] / 1000.0),
-        60 < table3["process-list"]["initialization_us"] / 1000.0 < 73
-        and table3["process-list"]["memory_analysis_us"] < 2500,
-    ))
-
-    fig6b = fig6b_bitmap_scan(sizes_gb=(16,))[0]
-    checks.append((
-        "16 GiB bitmap scan: word-chunk >> bit-by-bit (%.1f vs %.1f ms)"
-        % (fig6b["optimized_ms"], fig6b["not_optimized_ms"]),
-        fig6b["optimized_ms"] < fig6b["not_optimized_ms"] / 5,
-    ))
-
-    from repro.experiments import case1_overflow
-
-    case = case1_overflow(interval_ms=50.0)
-    checks.append((
-        "overflow case study: detect <1 epoch, 0 packets escape "
-        "(measured %.1f ms, %d packets)"
-        % (case["detect_latency_ms"], case["escaped_packets"]),
-        case["detect_latency_ms"] < 90 and case["escaped_packets"] == 0,
-    ))
-
-    lines = ["Reproduction self-check:"]
-    failed = 0
-    for description, passed in checks:
-        lines.append("  [%s] %s" % ("PASS" if passed else "FAIL",
-                                    description))
-        failed += 0 if passed else 1
-    lines.append("")
-    lines.append("%d/%d claims verified" % (len(checks) - failed,
-                                            len(checks)))
-    return "\n".join(lines)
-
-
 _COMMANDS = {
-    "verify": _cmd_verify,
-    "table1": _cmd_table1,
-    "table3": _cmd_table3,
-    "fig3": _cmd_fig3,
-    "fig4": _cmd_fig4,
-    "fig5": _cmd_fig5,
-    "fig6a": _cmd_fig6a,
-    "fig6b": _cmd_fig6b,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "case1": _cmd_case1,
-    "case2": _cmd_case2,
-    "claims": _cmd_claims,
-    "safety": _cmd_safety,
     "metrics": _cmd_metrics,
     "incident": _cmd_incident,
     "chaos": _cmd_chaos,
@@ -854,6 +544,10 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "lint": _cmd_lint,
 }
+
+
+def _choices():
+    return sorted(list(_COMMANDS) + list(paper.ARTIFACTS) + ["verify"])
 
 
 def build_parser():
@@ -864,19 +558,13 @@ def build_parser():
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_COMMANDS) + ["list"],
+        choices=_choices() + ["list"],
         help="which table/figure/case study to regenerate",
     )
     parser.add_argument("--epochs", type=int, default=50,
-                        help="epochs to average (table1)")
-    parser.add_argument("--iterations", type=int, default=100,
-                        help="scan iterations (table3)")
+                        help="epochs to run (metrics/chaos)")
     parser.add_argument("--interval-ms", type=float, default=50.0,
-                        help="epoch interval (fig8/case1/case2)")
-    parser.add_argument("--duration-ms", type=float, default=4000.0,
-                        help="client duration (fig7)")
-    parser.add_argument("--hide", action="store_true",
-                        help="case2: DKOM-hide the malware process")
+                        help="epoch interval (metrics/incident/chaos)")
     parser.add_argument("--trace-out", metavar="PATH",
                         help="metrics: write the span trace as JSONL")
     parser.add_argument("--bench-out", metavar="DIR",
@@ -971,7 +659,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
-        print("available experiments: %s" % ", ".join(sorted(_COMMANDS)))
+        print("available experiments: %s" % ", ".join(_choices()))
+        return 0
+    if args.experiment == "verify":
+        evaluations = paper.evaluate()
+        sys.stdout.write(paper.render_claims(evaluations))
+        return 0 if all(passed for _c, _m, passed in evaluations) else 1
+    if args.experiment in paper.ARTIFACTS:
+        sys.stdout.write(paper.ARTIFACTS[args.experiment].text())
         return 0
     print(_COMMANDS[args.experiment](args))
     return 0

@@ -105,16 +105,20 @@ class CanaryScanModule(ScanModule):
                                      count=len(dirty))
             hit = _np.isin(pfns, dirty_arr)
             # A freed region can span pages: re-check the misses whose
-            # physical range covers more than the probe page.
+            # physical range covers more than the probe page. The guest
+            # writes ``size``; no frame past RAM can be dirty, so clamping
+            # it to the RAM size keeps the selection and the int64 math.
             offsets = (probe_va & (PAGE_SIZE - 1)).astype(_np.int64)
-            last_pfns = pfns + ((offsets + sizes.astype(_np.int64) - 1)
-                                >> _PAGE_SHIFT)
+            spans_bytes = _np.minimum(sizes, vmi.vm.memory.size)
+            last_pfns = pfns + ((offsets + spans_bytes.astype(_np.int64)
+                                 - 1) >> _PAGE_SHIFT)
             spans = checked & is_freed & ~hit & (last_pfns > pfns)
-            for i in _np.nonzero(spans)[0].tolist():
-                if any(pfn in dirty
-                       for pfn in range(int(pfns[i]) + 1,
-                                        int(last_pfns[i]) + 1)):
-                    hit[i] = True
+            if spans.any():
+                # Dirty frames in (probe frame, last frame] of each span.
+                dirty_arr.sort()
+                hit[spans] = (
+                    _np.searchsorted(dirty_arr, last_pfns[spans], "right")
+                    > _np.searchsorted(dirty_arr, pfns[spans], "right"))
             checked &= hit
         sel = _np.nonzero(checked)[0]
         if not len(sel):

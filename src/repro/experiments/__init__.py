@@ -1,8 +1,11 @@
 """The experiment harness: one function per table/figure of §5.
 
-These are the entry points the ``benchmarks/`` suite calls; each returns
-structured rows/series matching what the paper plots, plus helpers to
-render them as text. Examples reuse them too.
+Each returns structured rows/series matching what the paper plots.
+:mod:`repro.experiments.paper` holds the two tables built on them:
+``ARTIFACTS`` (the experiment call and renderer behind every committed
+``benchmarks/results/*.txt``) and ``CLAIMS`` (every checked paper number
+with its band). The CLI, the benchmark suite and the tests read those
+tables; examples call the functions directly.
 """
 
 from repro.experiments.parsec_experiments import (

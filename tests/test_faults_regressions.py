@@ -13,8 +13,12 @@ Four formerly-latent behaviours, pinned down:
 * a hostile address in guest memory (a canary-table entry or a task
   pointer the introspection cannot translate or read) used to crash the
   epoch loop with a guest fault; an untranslatable canary is skipped,
-  and an audit that faults escalates like any other audit error.
+  and an audit that faults escalates like any other audit error. A
+  hostile freed-region ``size`` used to make the canary scan walk its
+  span frame by frame, uncharged; the span check is now bounded.
 """
+
+import time
 
 import pytest
 
@@ -28,8 +32,9 @@ from repro.errors import ForensicsError
 from repro.faults import FaultPlan, FaultPlane, FaultSchedule
 from repro.faults.chaos import run_chaos
 from repro.guest.devices import DiskWrite, OutputSink, Packet
-from repro.guest.heap import CANARY_ENTRY, CANARY_TABLE_HEADER
+from repro.guest.heap import CANARY_ENTRY, CANARY_TABLE_HEADER, KIND_FREED
 from repro.guest.linux import TASK_STRUCT, LinuxGuest
+from repro.guest.memory import PAGE_SIZE
 from repro.guest.pagetable import KERNEL_BASE, kernel_pa
 from repro.netbuf.buffer import BufferMode, OutputBuffer
 from repro.obs import MetricsRegistry
@@ -291,6 +296,47 @@ class TestHostileGuestAddresses:
         (finding,) = record.detection.critical_findings()
         assert finding.kind == "buffer-overflow"
         assert finding.details["object_addr"] == objects[3]
+
+    @pytest.mark.parametrize("size", [2 ** 40, 2 ** 63, 2 ** 64 - 1])
+    @pytest.mark.parametrize("dirty_in_span", [False, True])
+    def test_hostile_freed_size_is_bounded(self, size, dirty_in_span):
+        crimes = self.make_crimes(CanaryScanModule())
+        process = crimes.vm.create_process("victim")
+        objects = [process.malloc(48) for _ in range(4)]
+        process.free(objects[1])
+        crimes.start()
+        assert crimes.run_epoch().committed
+
+        table_va = process.heap.table_va
+        _canary, addrs, _sizes, kinds = crimes.vmi.read_canary_table_slab(
+            process.pid, table_va)
+        index = addrs.tolist().index(objects[1])
+        assert kinds[index] == KIND_FREED
+        entry_va = (table_va + CANARY_TABLE_HEADER.size
+                    + index * CANARY_ENTRY.size)
+        if not dirty_in_span:
+            # Probe the start of the process's clean page with the highest
+            # frame: no dirty frame lies above it, so the whole span is
+            # re-checked and nothing in it is dirty.
+            pages = process.page_table
+            top_vpn = max(pages.mapped_vpns(),
+                          key=lambda vpn: pages.frame_of(vpn * PAGE_SIZE))
+            process.write_u64(entry_va + CANARY_ENTRY.offset_of("addr"),
+                              top_vpn * PAGE_SIZE)
+        # Otherwise the heap probe's span covers the table page this very
+        # write dirties, so the region is read, and the read faults.
+        process.write_u64(entry_va + CANARY_ENTRY.offset_of("size"), size)
+
+        started = time.perf_counter()
+        record = crimes.run_epoch()
+        elapsed_s = time.perf_counter() - started
+        if not dirty_in_span:
+            assert record.committed and record.outcome == "committed"
+            assert elapsed_s < 1.0
+            return
+        assert record.outcome == "rolled-back" and not record.committed
+        (rollback,) = crimes.observer.flight.events(kind="epoch.rolled_back")
+        assert rollback.attrs["reason"] == "audit-error"
 
     @pytest.mark.parametrize("tasks_next, error", [
         (0x1000, "IntrospectionError"),
