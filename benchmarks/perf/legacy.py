@@ -77,9 +77,8 @@ class LegacyCheckpointer(Checkpointer):
         self.last_sync_backoff_ms = 0.0
         pending, self._pending = self._pending, None
         self._pending_held = False
-        if self._flight is not None:
-            self._flight.record("epoch.commit", epoch=self.epoch,
-                                dirty_pages=pending["dirty"])
+        self._flight.record("epoch.commit", epoch=self.epoch,
+                            dirty_pages=pending["dirty"])
         if self.fidelity is CopyFidelity.FULL:
             image = self._backup.image
             for pfn, data in pending["pages"]:

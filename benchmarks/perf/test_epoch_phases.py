@@ -144,8 +144,8 @@ def _make_crimes(kind, seed=31):
                           nominal_frames=FRAMES)
     if kind == "before":
         crimes = LegacyCrimes(vm, config)
-        legacy_vmi = LegacyVMIInstance(crimes.domain, seed=config.seed)
-        legacy_vmi.attach_flight(crimes.observer.flight)
+        legacy_vmi = LegacyVMIInstance(crimes.domain, seed=config.seed,
+                                       observer=crimes.observer)
         crimes.vmi = legacy_vmi
         crimes.detector.vmi = legacy_vmi
         crimes.checkpointer = LegacyCheckpointer(
@@ -156,7 +156,7 @@ def _make_crimes(kind, seed=31):
             remote=config.remote_backup,
             nominal_frames=config.nominal_frames,
             history_capacity=config.history_capacity,
-            flight=crimes.observer.flight,
+            observer=crimes.observer,
         )
         crimes.install_module(LegacyCanaryScanModule())
         crimes.install_module(MalwareScanModule(detect_hidden=False))

@@ -37,6 +37,8 @@ from repro.checkpoint.costmodel import (
 from repro.checkpoint.snapshot import CheckpointHistory
 from repro.guest.memory import PAGE_SIZE
 from repro.guest.vm import GuestSnapshot, copy_state
+from repro.obs.observer import Observer
+from repro.obs.registry import DEFAULT_COUNT_BUCKETS
 
 
 class CopyFidelity(enum.Enum):
@@ -261,10 +263,11 @@ class Checkpointer:
     def __init__(self, domain, level=OptimizationLevel.FULL, cost_model=None,
                  fidelity=CopyFidelity.FULL, remote=False,
                  nominal_frames=NOMINAL_FRAME_COUNT, history_capacity=0,
-                 registry=None, flight=None, injector=None, store=None,
-                 owner=None):
+                 observer=None, injector=None, store=None, owner=None):
         self.domain = domain
-        self._flight = flight
+        if observer is None:
+            observer = Observer(domain.vm.clock)
+        self._flight = observer.flight
         self._injector = injector
         self.level = level
         self.costs = cost_model if cost_model is not None else CheckpointCostModel()
@@ -279,36 +282,32 @@ class Checkpointer:
         self.store = store
         self.owner = owner if owner is not None else domain.vm.name
         self.history = CheckpointHistory(history_capacity)
-        self._registry = registry
-        if registry is not None:
-            from repro.obs.registry import DEFAULT_COUNT_BUCKETS
-
-            self._phase_hists = {
-                phase: registry.histogram(
-                    "checkpoint.%s_ms" % phase,
-                    help="per-epoch %s phase cost" % phase)
-                for phase in ("bitscan", "map", "copy")
-            }
-            self._dirty_hist = registry.histogram(
-                "checkpoint.dirty_pages", buckets=DEFAULT_COUNT_BUCKETS,
-                help="dirty pages staged per epoch")
-            self._commits = registry.counter(
-                "checkpoint.commits", help="staged epochs committed")
-            self._aborts = registry.counter(
-                "checkpoint.aborts", help="staged epochs dropped on attack")
-            self._pages_copied = registry.counter(
-                "checkpoint.pages_copied", help="real dirty pages staged")
-            self._copy_retries = registry.counter(
-                "checkpoint.copy_retries",
-                help="staging memcpy attempts redone after a copy fault")
-            self._sync_retries = registry.counter(
-                "checkpoint.sync_retries",
-                help="backup synchronizations retried after a sync fault")
+        registry = observer.registry
+        self._phase_hists = {
+            phase: registry.histogram(
+                "checkpoint.%s_ms" % phase,
+                help="per-epoch %s phase cost" % phase)
+            for phase in ("bitscan", "map", "copy")
+        }
+        self._dirty_hist = registry.histogram(
+            "checkpoint.dirty_pages", buckets=DEFAULT_COUNT_BUCKETS,
+            help="dirty pages staged per epoch")
+        self._flight.bind_counter("epoch.commit", registry.counter(
+            "checkpoint.commits", help="staged epochs committed"))
+        self._flight.bind_counter("epoch.abort", registry.counter(
+            "checkpoint.aborts", help="staged epochs dropped on attack"))
+        self._pages_copied = registry.counter(
+            "checkpoint.pages_copied", help="real dirty pages staged")
+        self._copy_retries = registry.counter(
+            "checkpoint.copy_retries",
+            help="staging memcpy attempts redone after a copy fault")
+        self._sync_retries = registry.counter(
+            "checkpoint.sync_retries",
+            help="backup synchronizations retried after a sync fault")
 
         self.epoch = 0
         self.started = False
         self.init_cost_ms = 0.0
-        self.total_pages_copied = 0
         #: Backoff charged by the most recent commit()'s sync retries —
         #: readable even when commit() raised (the caller still owes the
         #: virtual time the failed retries consumed).
@@ -432,8 +431,7 @@ class Checkpointer:
                     if held is not None and held["pfns"] is not None:
                         self._dirty_since_backup.update(held["pfns"])
                         self._backup.drop(held["staged"])
-                    if self._registry is not None:
-                        self._copy_retries.inc(outcome.failed_attempts)
+                    self._copy_retries.inc(outcome.failed_attempts)
                     raise CheckpointError(
                         "checkpoint copy failed after %d attempt(s)"
                         % outcome.attempts
@@ -442,7 +440,7 @@ class Checkpointer:
                 phase_ms["copy"] += outcome.backoff_ms + (
                     outcome.failed_attempts * phase_ms["copy"]
                 )
-                if self._registry is not None and outcome.failed_attempts:
+                if outcome.failed_attempts:
                     self._copy_retries.inc(outcome.failed_attempts)
 
         if not self.level.use_premap:
@@ -489,17 +487,14 @@ class Checkpointer:
             "taken_at": self.domain.vm.clock.now,
             "dirty": total_dirty,
         }
-        self.total_pages_copied += len(dirty_pfns)
-        if self._flight is not None:
-            self._flight.record(
-                "checkpoint.harvest", epoch=self.epoch,
-                real_dirty=len(dirty_pfns), synthetic_dirty=synthetic_dirty,
-            )
-        if self._registry is not None:
-            for phase, hist in self._phase_hists.items():
-                hist.observe(phase_ms[phase])
-            self._dirty_hist.observe(total_dirty)
-            self._pages_copied.inc(len(dirty_pfns))
+        self._flight.record(
+            "checkpoint.harvest", epoch=self.epoch,
+            real_dirty=len(dirty_pfns), synthetic_dirty=synthetic_dirty,
+        )
+        for phase, hist in self._phase_hists.items():
+            hist.observe(phase_ms[phase])
+        self._dirty_hist.observe(total_dirty)
+        self._pages_copied.inc(len(dirty_pfns))
         return CheckpointReport(
             self.epoch, len(dirty_pfns), synthetic_dirty, phase_ms, stats
         )
@@ -527,27 +522,23 @@ class Checkpointer:
                 sync["backoff_ms"] = outcome.backoff_ms
                 sync["retries"] = outcome.failed_attempts
                 self.last_sync_backoff_ms = outcome.backoff_ms
-                if self._registry is not None and outcome.failed_attempts:
+                if outcome.failed_attempts:
                     self._sync_retries.inc(outcome.failed_attempts)
                 if not outcome.success:
                     self._pending_held = True
-                    if self._flight is not None:
-                        self._flight.record(
-                            "checkpoint.sync_lost", epoch=self.epoch,
-                            dirty_pages=self._pending["dirty"],
-                            attempts=outcome.attempts,
-                        )
+                    self._flight.record(
+                        "checkpoint.sync_lost", epoch=self.epoch,
+                        dirty_pages=self._pending["dirty"],
+                        attempts=outcome.attempts,
+                    )
                     raise CheckpointError(
                         "backup sync lost after %d attempt(s); epoch %d "
                         "held" % (outcome.attempts, self.epoch)
                     )
         pending, self._pending = self._pending, None
         self._pending_held = False
-        if self._flight is not None:
-            self._flight.record("epoch.commit", epoch=self.epoch,
-                                dirty_pages=pending["dirty"])
-        if self._registry is not None:
-            self._commits.inc()
+        self._flight.record("epoch.commit", epoch=self.epoch,
+                            dirty_pages=pending["dirty"])
         if self.fidelity is CopyFidelity.FULL:
             pfns = pending["pfns"]
             self._backup_state = pending["state"]
@@ -576,11 +567,8 @@ class Checkpointer:
     def abort(self):
         """Drop the staged epoch (audit failed); backup stays clean."""
         if self._pending is not None:
-            if self._flight is not None:
-                self._flight.record("epoch.abort", epoch=self.epoch,
-                                    dirty_pages=self._pending["dirty"])
-            if self._registry is not None:
-                self._aborts.inc()
+            self._flight.record("epoch.abort", epoch=self.epoch,
+                                dirty_pages=self._pending["dirty"])
             staged = self._pending["pfns"]
             if staged is not None:
                 # Those frames were harvested out of the bitmap but never
@@ -653,15 +641,18 @@ class Checkpointer:
         self._pending_held = False
         self._dirty_since_backup = set()
         self._untracked_seen = memory.untracked_loads
-        if self._flight is not None:
-            self._flight.record("rollback", epoch=self.epoch,
-                                restored_pages=differing,
-                                backup_taken_at_ms=self._backup_taken_at)
+        self._flight.record("rollback", epoch=self.epoch,
+                            restored_pages=differing,
+                            backup_taken_at_ms=self._backup_taken_at)
         return self.costs.rollback_ms(differing)
 
     @property
     def backup_taken_at(self):
         return self._backup_taken_at
+
+    #: Real dirty pages staged so far (the ``checkpoint.pages_copied``
+    #: counter).
+    total_pages_copied = property(lambda self: self._pages_copied.value)
 
     @property
     def staged_pfns(self):

@@ -17,6 +17,7 @@ scanners like Volatility.
 from repro.detectors.base import DetectionResult, Severity
 from repro.errors import NetbufReleaseError
 from repro.forensics.dumps import MemoryDump
+from repro.obs.observer import Observer
 
 
 class AsyncScanJob:
@@ -97,24 +98,23 @@ class OverlappedAudit:
     queued so the next boundary retries it.
     """
 
-    def __init__(self, clock, buffer, registry=None, flight=None):
+    def __init__(self, clock, buffer, observer=None):
         self.clock = clock
         self.buffer = buffer
-        self._flight = flight
+        if observer is None:
+            observer = Observer(clock)
+        self._flight = observer.flight
         self._queue = []
         self.releases = 0
         self.retries = 0
         self.max_release_lag_ms = 0.0
-        if registry is not None:
-            self._lag_gauge = registry.gauge(
-                "overlap.release_lag_ms",
-                help="commit-to-release lag of the latest overlapped epoch")
-            self._queue_gauge = registry.gauge(
-                "overlap.queued_epochs",
-                help="committed epochs whose outputs await their verdict")
-        else:
-            self._lag_gauge = None
-            self._queue_gauge = None
+        registry = observer.registry
+        self._lag_gauge = registry.gauge(
+            "overlap.release_lag_ms",
+            help="commit-to-release lag of the latest overlapped epoch")
+        self._queue_gauge = registry.gauge(
+            "overlap.queued_epochs",
+            help="committed epochs whose outputs await their verdict")
 
     @property
     def queued(self):
@@ -129,13 +129,11 @@ class OverlappedAudit:
             scan_cost_ms=scan_cost_ms,
         )
         self._queue.append(entry)
-        if self._flight is not None:
-            self._flight.record(
-                "overlap.deferred", epoch=epoch,
-                ready_at_ms=entry.ready_at_ms,
-            )
-        if self._queue_gauge is not None:
-            self._queue_gauge.set(len(self._queue))
+        self._flight.record(
+            "overlap.deferred", epoch=epoch,
+            ready_at_ms=entry.ready_at_ms,
+        )
+        self._queue_gauge.set(len(self._queue))
         return entry
 
     def drain(self):
@@ -152,9 +150,8 @@ class OverlappedAudit:
                 released = self.buffer.release(entry.epoch)
             except NetbufReleaseError:
                 self.retries += 1
-                if self._flight is not None:
-                    self._flight.record("overlap.release_held",
-                                        epoch=entry.epoch)
+                self._flight.record("overlap.release_held",
+                                    epoch=entry.epoch)
                 break
             self._queue.pop(0)
             packets += released[0]
@@ -162,10 +159,8 @@ class OverlappedAudit:
             self.releases += 1
             lag = self.clock.now - (entry.ready_at_ms - entry.scan_cost_ms)
             self.max_release_lag_ms = max(self.max_release_lag_ms, lag)
-            if self._lag_gauge is not None:
-                self._lag_gauge.set(lag)
-        if self._queue_gauge is not None:
-            self._queue_gauge.set(len(self._queue))
+            self._lag_gauge.set(lag)
+        self._queue_gauge.set(len(self._queue))
         return packets, disk_writes
 
     def flush(self):
@@ -188,11 +183,10 @@ class OverlappedAudit:
         Conservative by design: nothing unreleased survives an incident.
         """
         dropped, self._queue = [e.epoch for e in self._queue], []
-        if dropped and self._flight is not None:
+        if dropped:
             self._flight.record("overlap.discarded", epochs=dropped,
                                 reason=reason)
-        if self._queue_gauge is not None:
-            self._queue_gauge.set(0)
+        self._queue_gauge.set(0)
         return dropped
 
 
@@ -205,32 +199,31 @@ class AsyncScanner:
     scanning the freshest committed state dominates scanning stale ones.
     """
 
-    def __init__(self, clock, registry=None, flight=None):
+    def __init__(self, clock, observer=None):
         self.clock = clock
-        self._flight = flight
+        if observer is None:
+            observer = Observer(clock)
+        self._flight = observer.flight
         self.modules = []
         self._active_job = None
-        self._pending_snapshot = None
-        self.jobs_started = 0
-        self.snapshots_skipped = 0
-        self.jobs_cancelled = 0
         self.verdicts = []
-        self._registry = registry
-        if registry is not None:
-            self._jobs_counter = registry.counter(
-                "async.jobs_started", help="deep scans dispatched")
-            self._skipped_counter = registry.counter(
-                "async.snapshots_skipped",
-                help="checkpoints not scanned because the core was busy")
-            self._cancelled_counter = registry.counter(
+        registry = observer.registry
+        self._jobs_counter = self._flight.bind_counter(
+            "async.dispatch", registry.counter(
+                "async.jobs_started", help="deep scans dispatched"))
+        self._skipped_counter = registry.counter(
+            "async.snapshots_skipped",
+            help="checkpoints not scanned because the core was busy")
+        self._cancelled_counter = self._flight.bind_counter(
+            "async.cancelled", registry.counter(
                 "async.jobs_cancelled",
                 help="in-flight scans abandoned because their snapshot "
-                     "was rolled back")
-            self._lag_gauge = registry.gauge(
-                "async.detection_lag_ms",
-                help="snapshot-to-verdict lag of the latest deep scan")
-            self._duration_hist = registry.histogram(
-                "async.scan_duration_ms", help="deep scan durations")
+                     "was rolled back"))
+        self._lag_gauge = registry.gauge(
+            "async.detection_lag_ms",
+            help="snapshot-to-verdict lag of the latest deep scan")
+        self._duration_hist = registry.histogram(
+            "async.scan_duration_ms", help="deep scan durations")
 
     def install(self, module):
         self.modules.append(module)
@@ -240,11 +233,15 @@ class AsyncScanner:
     def busy(self):
         return self._active_job is not None
 
+    # Read-only views of the registry counters (the journal bumps the
+    # first two per async.dispatch / async.cancelled event).
+    jobs_started = property(lambda self: self._jobs_counter.value)
+    jobs_cancelled = property(lambda self: self._cancelled_counter.value)
+    snapshots_skipped = property(lambda self: self._skipped_counter.value)
+
     def skip_snapshot(self):
         """Record a checkpoint passed over because the scanner was busy."""
-        self.snapshots_skipped += 1
-        if self._registry is not None:
-            self._skipped_counter.inc()
+        self._skipped_counter.inc()
 
     def offer_snapshot(self, vm, snapshot, epoch):
         """Offer a freshly committed checkpoint for deep scanning."""
@@ -265,15 +262,11 @@ class AsyncScanner:
             modules=list(self.modules),
         )
         self._active_job = job
-        self.jobs_started += 1
-        if self._registry is not None:
-            self._jobs_counter.inc()
-        if self._flight is not None:
-            self._flight.record(
-                "async.dispatch", epoch=epoch,
-                completes_at_ms=job.completes_at,
-                modules=[module.name for module in job.modules],
-            )
+        self._flight.record(
+            "async.dispatch", epoch=epoch,
+            completes_at_ms=job.completes_at,
+            modules=[module.name for module in job.modules],
+        )
         return job
 
     def cancel(self, reason="rollback"):
@@ -288,12 +281,8 @@ class AsyncScanner:
         job, self._active_job = self._active_job, None
         if job is None:
             return None
-        self.jobs_cancelled += 1
-        if self._registry is not None:
-            self._cancelled_counter.inc()
-        if self._flight is not None:
-            self._flight.record("async.cancelled", epoch=job.snapshot_epoch,
-                                reason=reason)
+        self._flight.record("async.cancelled", epoch=job.snapshot_epoch,
+                            reason=reason)
         return job
 
     def poll(self):
@@ -307,15 +296,13 @@ class AsyncScanner:
             findings.extend(module.scan(job.dump) or [])
         verdict = AsyncVerdict(job, findings, verdict_time_ms=self.clock.now)
         self.verdicts.append(verdict)
-        if self._registry is not None:
-            self._lag_gauge.set(verdict.detection_lag_ms)
-            self._duration_hist.observe(self.clock.now - job.started_at)
-        if self._flight is not None:
-            self._flight.record(
-                "scan.verdict", epoch=job.snapshot_epoch, async_scan=True,
-                findings=len(findings), attack=verdict.attack_detected,
-                lag_ms=verdict.detection_lag_ms,
-            )
+        self._lag_gauge.set(verdict.detection_lag_ms)
+        self._duration_hist.observe(self.clock.now - job.started_at)
+        self._flight.record(
+            "scan.verdict", epoch=job.snapshot_epoch, async_scan=True,
+            findings=len(findings), attack=verdict.attack_detected,
+            lag_ms=verdict.detection_lag_ms,
+        )
         return verdict
 
     def as_detection_result(self, verdict):

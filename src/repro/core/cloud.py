@@ -67,7 +67,7 @@ class CloudHost:
     load so a provider can size scanning capacity.
     """
 
-    def __init__(self, name="host-0", observer=None, store=None):
+    def __init__(self, name="host-0", store=None):
         self.name = name
         self.tenants = {}
         self.rounds_run = 0
@@ -81,8 +81,7 @@ class CloudHost:
         # *frontier* (the farthest any tenant has simulated) so
         # host-level events — round boundaries, admission decisions —
         # carry a meaningful virtual timestamp for the fleet merge.
-        self.observer = (observer if observer is not None
-                         else Observer(VirtualClock(), name=name))
+        self.observer = Observer(VirtualClock(), name=name)
         if store is not None:
             store.attach_registry(self.observer.registry)
 

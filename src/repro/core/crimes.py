@@ -78,7 +78,7 @@ class Crimes:
     """One protected VM under the CRIMES framework."""
 
     def __init__(self, vm, config=None, hypervisor=None, cost_model=None,
-                 observer=None, fault_plan=None, store=None):
+                 fault_plan=None, store=None):
         self.config = config if config is not None else CrimesConfig()
         self.hypervisor = (
             hypervisor if hypervisor is not None else Hypervisor(clock=vm.clock)
@@ -88,13 +88,10 @@ class Crimes:
         self.domain = self.hypervisor.create_domain(vm)
         self.costs = cost_model if cost_model is not None else CheckpointCostModel()
 
-        # Cross-cutting observability: one registry + tracer shared by the
-        # epoch loop and every substrate component below it.
-        self.observer = (
-            observer if observer is not None
-            else Observer(self.clock, name=vm.name)
-        )
-        registry = self.observer.registry
+        # Cross-cutting observability: one registry, tracer and journal
+        # shared by the epoch loop and every substrate component below it.
+        observer = self.observer = Observer(self.clock, name=vm.name)
+        registry = observer.registry
         self._pause_hists = {
             phase: registry.histogram(
                 "epoch.pause.%s_ms" % phase,
@@ -118,9 +115,10 @@ class Crimes:
         self._audit_error_counter = registry.counter(
             "faults.audit_error",
             help="audits that raised instead of returning a verdict")
-        self._held_counter = registry.counter(
-            "epoch.held",
-            help="epochs whose outputs were held in degraded mode")
+        self._held_counter = observer.flight.bind_counter(
+            "epoch.held", registry.counter(
+                "epoch.held",
+                help="epochs whose outputs were held in degraded mode"))
         self._shed_counter = registry.counter(
             "epoch.shed",
             help="held epochs shed (discarded + rolled back) after the "
@@ -131,16 +129,13 @@ class Crimes:
         # of an unarmed injector is a measured quantity, not a guess.
         self.injector = None
         if fault_plan is not None:
-            self.injector = FaultInjector(
-                fault_plan, registry=registry, flight=self.observer.flight,
-            )
+            self.injector = FaultInjector(fault_plan, observer=observer)
 
         # Interpose the output buffer between the guest devices and the world.
         self.external_sink = vm.output_sink
         self.buffer = OutputBuffer(
             self.external_sink, mode=self.config.safety.buffer_mode,
-            clock=self.clock, registry=registry,
-            flight=self.observer.flight, injector=self.injector,
+            clock=self.clock, observer=observer, injector=self.injector,
         )
         vm.set_output_sink(self.buffer)
 
@@ -152,17 +147,16 @@ class Crimes:
             remote=self.config.remote_backup,
             nominal_frames=self.config.nominal_frames,
             history_capacity=self.config.history_capacity,
-            registry=registry,
-            flight=self.observer.flight,
+            observer=observer,
             injector=self.injector,
             store=store,
             owner=vm.name,
         )
-        self.vmi = VMIInstance(self.domain, seed=self.config.seed)
-        self.vmi.attach_flight(self.observer.flight)
+        self.vmi = VMIInstance(self.domain, seed=self.config.seed,
+                               observer=observer)
         if self.injector is not None:
             self.vmi.attach_injector(self.injector)
-        self.detector = Detector(self.vmi, registry=registry)
+        self.detector = Detector(self.vmi, observer=observer)
         self.analyzer = Analyzer(
             self.domain, self.checkpointer, self.vmi, seed=self.config.seed
         )
@@ -179,15 +173,11 @@ class Crimes:
         #: downstream sink is unhealthy (hold-and-shed, §degraded modes).
         self.health = "healthy"
         self._held_epochs = 0          # consecutive holds this episode
-        self.epochs_held = 0           # lifetime holds
-        self.epochs_shed = 0           # lifetime sheds (held epochs lost)
         self.fault_rollbacks = 0       # epochs undone by escalated faults
-        self.async_scanner = AsyncScanner(self.clock, registry=registry,
-                                          flight=self.observer.flight)
+        self.async_scanner = AsyncScanner(self.clock, observer=observer)
         #: Deferred-release queue for config.overlap_audit; idle otherwise.
         self.overlap = OverlappedAudit(self.clock, self.buffer,
-                                       registry=registry,
-                                       flight=self.observer.flight)
+                                       observer=observer)
         self.last_async_verdict = None
         #: The most recent incident bundle (built on any failed audit or
         #: failed async deep scan); None until something goes wrong.
@@ -200,8 +190,13 @@ class Crimes:
         # Always-on SLO watchdog: observation only by default. Pass a
         # controller via repro.obs.slo.attach_slo_watchdog to let budget
         # breaches steer the epoch interval.
-        self.slo_watchdog = SLOWatchdog(self.observer)
+        self.slo_watchdog = SLOWatchdog(observer)
         self.on("epoch", self.slo_watchdog.evaluate)
+
+    # Lifetime holds (the journal bumps epoch.held) and sheds (held
+    # epochs lost): read-only views of the registry counters.
+    epochs_held = property(lambda self: self._held_counter.value)
+    epochs_shed = property(lambda self: self._shed_counter.value)
 
     # -- setup --------------------------------------------------------------
 
@@ -636,8 +631,6 @@ class Crimes:
             self.observer.journal("degraded.enter", epoch=epoch,
                                   reason=reason)
         self._held_epochs += 1
-        self.epochs_held += 1
-        self._held_counter.inc()
         self.observer.journal(
             "epoch.held", epoch=epoch, reason=reason,
             held=self._held_epochs, limit=self.config.max_hold_epochs,
@@ -706,7 +699,6 @@ class Crimes:
         if self._held_epochs:
             # Degraded-mode backlog goes down with the ship: the held
             # outputs were just discarded along with this epoch's.
-            self.epochs_shed += self._held_epochs
             self._shed_counter.inc(self._held_epochs)
             self.observer.journal(
                 "degraded.shed", epoch=epoch,

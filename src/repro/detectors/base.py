@@ -2,6 +2,8 @@
 
 import enum
 
+from repro.obs.observer import Observer
+
 
 class Severity(enum.Enum):
     INFO = "info"
@@ -99,20 +101,23 @@ class DetectionResult:
 class Detector:
     """Runs the installed scan modules at the end of each epoch."""
 
-    def __init__(self, vmi, registry=None):
+    def __init__(self, vmi, observer=None):
         self.vmi = vmi
         self.modules = []
-        self.scans_run = 0
-        self.total_cost_ms = 0.0
-        self._registry = registry
-        if registry is not None:
-            self._scan_hist = registry.histogram(
-                "detector.scan_ms", help="full audit cost per epoch")
-            self._findings_total = registry.counter(
-                "detector.findings_total", help="findings across all modules")
-            self._critical_total = registry.counter(
-                "detector.findings_critical",
-                help="critical findings (attacks detected)")
+        if observer is None:
+            observer = Observer(vmi.vm.clock)
+        self._registry = registry = observer.registry
+        self._scan_hist = registry.histogram(
+            "detector.scan_ms", help="full audit cost per epoch")
+        self._findings_total = registry.counter(
+            "detector.findings_total", help="findings across all modules")
+        self._critical_total = registry.counter(
+            "detector.findings_critical",
+            help="critical findings (attacks detected)")
+
+    # Audits run and their summed cost: views of detector.scan_ms.
+    scans_run = property(lambda self: self._scan_hist.count)
+    total_cost_ms = property(lambda self: self._scan_hist.sum)
 
     def _module_instruments(self, module):
         hist = self._registry.histogram(
@@ -156,20 +161,16 @@ class Detector:
             module_cost = self.vmi.take_cost_ms()
             cost += module_cost
             findings.extend(module_findings)
-            if self._registry is not None:
-                hist, finding_counter = self._module_instruments(module)
-                hist.observe(module_cost)
-                if module_findings:
-                    finding_counter.inc(len(module_findings))
-        self.scans_run += 1
-        self.total_cost_ms += cost
-        if self._registry is not None:
-            self._scan_hist.observe(cost)
-            if findings:
-                self._findings_total.inc(len(findings))
-            critical = sum(1 for f in findings
-                           if f.severity is Severity.CRITICAL)
-            if critical:
-                self._critical_total.inc(critical)
+            hist, finding_counter = self._module_instruments(module)
+            hist.observe(module_cost)
+            if module_findings:
+                finding_counter.inc(len(module_findings))
+        self._scan_hist.observe(cost)
+        if findings:
+            self._findings_total.inc(len(findings))
+        critical = sum(1 for f in findings
+                       if f.severity is Severity.CRITICAL)
+        if critical:
+            self._critical_total.inc(critical)
         return DetectionResult(findings, cost, [m.name for m in self.modules],
                                epoch)

@@ -82,10 +82,11 @@ class CanaryScanModule(ScanModule):
         :meth:`~repro.vmi.libvmi.VMIInstance.translate_pages` call maps
         every entry's probe page to its frame (-1 where ``translate``
         would refuse it: an unmapped or hostile address, whose entry is
-        skipped), and the dirty test runs over the frame array. So it
-        cannot move virtual time; the charged reads then run for exactly
-        the entries — in exactly the table order — a per-entry
-        ``translate`` + read loop would have read.
+        skipped; so is a canary whose ``addr + size`` wrapped past 2^64,
+        which ``translate`` refuses too), and the dirty test runs over
+        the frame array. So it cannot move virtual time; the charged
+        reads then run for exactly the entries — in exactly the table
+        order — a per-entry ``translate`` + read loop would have read.
         """
         vmi = context.vmi
         is_canary = kinds == KIND_CANARY
@@ -98,7 +99,7 @@ class CanaryScanModule(ScanModule):
             (probe_va >> _PAGE_SHIFT).astype(_np.int64), pid)
         checked = (is_canary | is_freed) if self.check_freed \
             else is_canary.copy()
-        checked &= pfns >= 0
+        checked &= (pfns >= 0) & (probe_va >= addrs)
         if not self.scan_all_pages and context.dirty_pfns is not None:
             dirty = context.dirty_pfns
             dirty_arr = _np.fromiter(dirty, dtype=_np.int64,

@@ -10,12 +10,14 @@ wall time).
 Every injection decision derives from ``SeededStream(plan.seed,
 "faults/<plane>")``, so planes are independent and runs are replayable;
 every armed fault and every recovery is journaled to the flight
-recorder and counted in the metrics registry, so incident bundles and
-chaos artifacts capture the full story.
+recorder, which counts it in the metrics registry, so incident bundles
+and chaos artifacts capture the full story.
 """
 
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
+from repro.obs.observer import Observer
+from repro.sim.clock import VirtualClock
 from repro.sim.rng import SeededStream
 
 
@@ -67,13 +69,13 @@ class ActiveFault:
 class FaultInjector:
     """Per-epoch fault arming + recovery accounting for one tenant."""
 
-    def __init__(self, plan=None, registry=None, flight=None,
-                 retry_policy=None):
+    def __init__(self, plan=None, observer=None, retry_policy=None):
         self.plan = plan if plan is not None else FaultPlan.none()
         self.retry_policy = (retry_policy if retry_policy is not None
                              else RetryPolicy())
-        self._flight = flight
-        self._registry = registry
+        if observer is None:
+            observer = Observer(VirtualClock())
+        self._flight = flight = observer.flight
         self._streams = {
             plane: SeededStream(self.plan.seed, "faults/%s" % plane.value)
             for plane in self.plan.schedules
@@ -82,33 +84,37 @@ class FaultInjector:
         #: an unarmed plan: ``check`` is then a guaranteed-miss lookup.
         self._active = {}
         self.epoch = 0
-        self.injected_total = 0
-        self.recovered_total = 0
-        self.escalated_total = 0
-        self._injected_counter = None
-        if registry is not None:
-            self._injected_counter = registry.counter(
+        registry = observer.registry
+        self._injected_counter = flight.bind_counter(
+            "fault.injected", registry.counter(
                 "faults.injected_total",
-                help="fault-plane activations across all planes")
-            self._recovered_counter = registry.counter(
+                help="fault-plane activations across all planes"))
+        self._recovered_counter = flight.bind_counter(
+            "fault.recovered", registry.counter(
                 "faults.recovered_total",
-                help="faults cleared by retry/backoff")
-            self._escalated_counter = registry.counter(
+                help="faults cleared by retry/backoff"))
+        self._escalated_counter = flight.bind_counter(
+            "fault.escalated", registry.counter(
                 "faults.escalated_total",
-                help="faults that exhausted recovery and escalated")
-            self._backoff_hist = registry.histogram(
-                "faults.retry_backoff_ms",
-                help="total backoff charged per recovery episode")
-            self._plane_counters = {
-                plane: registry.counter(
-                    "faults.%s.injected" % plane.value,
-                    help="activations of the %s plane" % plane.value)
-                for plane in self.plan.schedules
-            }
+                help="faults that exhausted recovery and escalated"))
+        self._backoff_hist = registry.histogram(
+            "faults.retry_backoff_ms",
+            help="total backoff charged per recovery episode")
+        self._plane_counters = {
+            plane: registry.counter(
+                "faults.%s.injected" % plane.value,
+                help="activations of the %s plane" % plane.value)
+            for plane in self.plan.schedules
+        }
 
     @property
     def armed(self):
         return bool(self.plan.schedules)
+
+    # Read-only views of the counters the journal bumps per fault.* event.
+    injected_total = property(lambda self: self._injected_counter.value)
+    recovered_total = property(lambda self: self._recovered_counter.value)
+    escalated_total = property(lambda self: self._escalated_counter.value)
 
     # -- per-epoch arming ----------------------------------------------------
 
@@ -122,16 +128,12 @@ class FaultInjector:
             if not schedule.faulting(self._streams[plane], epoch):
                 continue
             active[plane] = ActiveFault(plane, schedule, epoch)
-            self.injected_total += 1
-            if self._injected_counter is not None:
-                self._injected_counter.inc()
-                self._plane_counters[plane].inc()
-            if self._flight is not None:
-                self._flight.record(
-                    "fault.injected", epoch=epoch, plane=plane.value,
-                    schedule=schedule.kind, mode=schedule.mode,
-                    magnitude_ms=schedule.magnitude_ms,
-                )
+            self._plane_counters[plane].inc()
+            self._flight.record(
+                "fault.injected", epoch=epoch, plane=plane.value,
+                schedule=schedule.kind, mode=schedule.mode,
+                magnitude_ms=schedule.magnitude_ms,
+            )
         self._active = active
 
     # -- hot-path probes -----------------------------------------------------
@@ -155,17 +157,13 @@ class FaultInjector:
         """
         outcome = self.retry_policy.run(fault, self._streams[fault.plane])
         if outcome.success:
-            self.recovered_total += 1
-            if self._injected_counter is not None:
-                self._recovered_counter.inc()
-                self._backoff_hist.observe(outcome.backoff_ms)
-            if self._flight is not None:
-                self._flight.record(
-                    "fault.recovered", epoch=fault.epoch,
-                    plane=fault.plane.value, site=site,
-                    attempts=outcome.attempts,
-                    backoff_ms=outcome.backoff_ms,
-                )
+            self._backoff_hist.observe(outcome.backoff_ms)
+            self._flight.record(
+                "fault.recovered", epoch=fault.epoch,
+                plane=fault.plane.value, site=site,
+                attempts=outcome.attempts,
+                backoff_ms=outcome.backoff_ms,
+            )
         else:
             self.escalated(fault.plane, fault.epoch, site,
                            attempts=outcome.attempts,
@@ -174,14 +172,10 @@ class FaultInjector:
 
     def escalated(self, plane, epoch, site, **attrs):
         """Record that a fault exhausted its recovery at ``site``."""
-        self.escalated_total += 1
-        if self._injected_counter is not None:
-            self._escalated_counter.inc()
-        if self._flight is not None:
-            self._flight.record(
-                "fault.escalated", epoch=epoch, plane=plane.value,
-                site=site, **attrs,
-            )
+        self._flight.record(
+            "fault.escalated", epoch=epoch, plane=plane.value,
+            site=site, **attrs,
+        )
 
     # -- export --------------------------------------------------------------
 

@@ -23,6 +23,8 @@ import enum
 
 from repro.errors import NetbufReleaseError
 from repro.faults.planes import FaultPlane
+from repro.obs.observer import Observer
+from repro.sim.clock import VirtualClock
 
 
 class BufferMode(enum.Enum):
@@ -56,11 +58,14 @@ class OutputBuffer:
     """Packet/disk-write buffer between a guest's devices and the world."""
 
     def __init__(self, downstream, mode=BufferMode.SYNCHRONOUS, clock=None,
-                 registry=None, flight=None, injector=None):
+                 observer=None, injector=None):
         self.downstream = downstream
         self.mode = mode
-        self._clock = clock
-        self._flight = flight
+        # Without a clock every output is stamped at 0.0 ms.
+        self._clock = clock if clock is not None else VirtualClock()
+        if observer is None:
+            observer = Observer(self._clock)
+        self._flight = observer.flight
         self._injector = injector
         # One "buffer.hold" journal event per speculation batch, not per
         # output — the flight ring must not be flooded by a chatty guest.
@@ -76,27 +81,23 @@ class OutputBuffer:
         #: Virtual-time cost of downstream-release retries in the most
         #: recent commit (the epoch loop charges it to the clock).
         self.last_release_backoff_ms = 0.0
-        self._registry = registry
-        if registry is not None:
-            self._buffered_total = registry.counter(
-                "netbuf.buffered_total",
-                help="outputs queued while speculating")
-            self._committed_total = registry.counter(
-                "netbuf.committed_total", help="outputs released downstream")
-            self._discarded_total = registry.counter(
-                "netbuf.discarded_total", help="outputs destroyed by rollback")
-            self._residency = registry.histogram(
-                "netbuf.residency_ms",
-                help="time outputs sat in the buffer before release")
-            self._release_retries = registry.counter(
-                "netbuf.release_retries",
-                help="downstream flushes retried after a release fault")
-            self._stale_releases = registry.counter(
-                "netbuf.stale_releases",
-                help="release() calls for epochs already discarded")
-
-    def _now(self):
-        return self._clock.now if self._clock is not None else 0.0
+        registry = observer.registry
+        self._buffered_total = registry.counter(
+            "netbuf.buffered_total",
+            help="outputs queued while speculating")
+        self._committed_total = registry.counter(
+            "netbuf.committed_total", help="outputs released downstream")
+        self._discarded_total = registry.counter(
+            "netbuf.discarded_total", help="outputs destroyed by rollback")
+        self._residency = registry.histogram(
+            "netbuf.residency_ms",
+            help="time outputs sat in the buffer before release")
+        self._release_retries = registry.counter(
+            "netbuf.release_retries",
+            help="downstream flushes retried after a release fault")
+        self._flight.bind_counter("buffer.release_stale", registry.counter(
+            "netbuf.stale_releases",
+            help="release() calls for epochs already discarded"))
 
     # -- sink interface (guest devices call these) -------------------------
 
@@ -106,13 +107,12 @@ class OutputBuffer:
 
     def _enqueue(self, kind, item):
         self._pending.append(
-            BufferedOutput(self._next_seq, kind, item, self._now(),
+            BufferedOutput(self._next_seq, kind, item, self._clock.now,
                            epoch=self._epoch)
         )
         self._next_seq += 1
-        if self._registry is not None:
-            self._buffered_total.inc()
-        if self._flight is not None and not self._hold_journaled:
+        self._buffered_total.inc()
+        if not self._hold_journaled:
             self._flight.record("buffer.hold", epoch=self._epoch,
                                 first_seq=self._pending[0].seq)
             self._hold_journaled = True
@@ -159,7 +159,7 @@ class OutputBuffer:
             return
         outcome = injector.retry(fault, site="netbuf-release")
         self.last_release_backoff_ms = outcome.backoff_ms
-        if self._registry is not None and outcome.failed_attempts:
+        if outcome.failed_attempts:
             self._release_retries.inc(outcome.failed_attempts)
         if not outcome.success:
             raise NetbufReleaseError(
@@ -170,7 +170,7 @@ class OutputBuffer:
     def _flush(self, pending):
         """Emit ``pending`` downstream in order; returns the counts."""
         packets = disk_writes = 0
-        now = self._now()
+        now = self._clock.now
         for entry in pending:
             if entry.kind is _PACKET:
                 self.downstream.emit_packet(entry.item)
@@ -178,13 +178,11 @@ class OutputBuffer:
             else:
                 self.downstream.emit_disk_write(entry.item)
                 disk_writes += 1
-            if self._registry is not None:
-                self._residency.observe(now - entry.emitted_at_ms)
+            self._residency.observe(now - entry.emitted_at_ms)
         self.committed_packets += packets
         self.committed_disk_writes += disk_writes
-        if self._registry is not None and pending:
+        if pending:
             self._committed_total.inc(len(pending))
-        if self._flight is not None and pending:
             self._flight.record(
                 "buffer.release", packets=packets, disk_writes=disk_writes,
                 epochs=sorted({entry.epoch for entry in pending},
@@ -208,10 +206,7 @@ class OutputBuffer:
         release must never resurrect outputs the rollback annihilated.
         """
         if epoch in self._discarded_epochs:
-            if self._registry is not None:
-                self._stale_releases.inc()
-            if self._flight is not None:
-                self._flight.record("buffer.release_stale", epoch=epoch)
+            self._flight.record("buffer.release_stale", epoch=epoch)
             return 0, 0
         self._release_gate()
         releasable = [entry for entry in self._pending
@@ -237,9 +232,8 @@ class OutputBuffer:
             # The epoch being rolled back is discarded even if it never
             # queued an output — a later release() for it must still no-op.
             self._discarded_epochs.add(self._epoch)
-        if self._registry is not None and pending:
+        if pending:
             self._discarded_total.inc(len(pending))
-        if self._flight is not None and pending:
             self._flight.record("buffer.discard", packets=packets,
                                 disk_writes=disk_writes, epochs=epochs)
         self._hold_journaled = False

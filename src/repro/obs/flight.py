@@ -27,6 +27,8 @@ import json
 import time
 from collections import deque
 
+from repro.errors import ObservabilityError
+
 #: The hash every chain starts from (a run with zero events has this head).
 GENESIS_HASH = hashlib.sha256(b"crimes-flight-genesis").hexdigest()
 
@@ -34,8 +36,8 @@ GENESIS_HASH = hashlib.sha256(b"crimes-flight-genesis").hexdigest()
 #: replay filters, the SLO watchdog) key on these strings, so a typo'd
 #: kind would silently fork the journal's vocabulary; crimeslint CRL004
 #: statically checks every ``journal``/``record`` literal against this
-#: registry. Tests may record ad-hoc kinds — the recorder itself does
-#: not enforce membership at runtime.
+#: registry. Tests may record ad-hoc kinds — ``record`` does not enforce
+#: membership at runtime (``bind_counter`` does, for the kinds it binds).
 EVENT_KINDS = frozenset({
     "analyzer.report",
     "async.cancelled",
@@ -171,6 +173,8 @@ class FlightRecorder:
         # Self-overhead accounting (host wall time; never hashed).
         self.overhead_wall_s = 0.0
         self.events_recorded = 0
+        #: kind -> the registry counter :meth:`record` bumps per event.
+        self._counters = {}
 
     @property
     def head_hash(self):
@@ -180,6 +184,25 @@ class FlightRecorder:
         return self._head
 
     # -- recording ---------------------------------------------------------
+
+    def bind_counter(self, kind, counter):
+        """Bind ``counter`` to ``kind``; returns the counter.
+
+        From now on every recorded ``kind`` event bumps ``counter`` by
+        one, so a metric that counts one journal kind is that kind's
+        count by construction. Binding the same counter again is a
+        no-op; an undeclared kind, or a second counter for a bound kind,
+        raises :class:`~repro.errors.ObservabilityError`.
+        """
+        if kind not in EVENT_KINDS:
+            raise ObservabilityError(
+                "cannot count undeclared journal kind %r" % kind)
+        bound = self._counters.setdefault(kind, counter)
+        if bound is not counter:
+            raise ObservabilityError(
+                "journal kind %r is already counted by %r"
+                % (kind, bound.name))
+        return counter
 
     def record(self, kind, epoch=None, span_id=None, **attrs):
         """Append one event; returns it. O(1) amortized, bounded."""
@@ -206,6 +229,9 @@ class FlightRecorder:
         self._unsealed.append(event)
         self.events_recorded += 1
         self.overhead_wall_s += time.perf_counter() - started
+        counter = self._counters.get(kind)
+        if counter is not None:
+            counter.inc()
         return event
 
     def seal(self, _started=None):

@@ -1,9 +1,15 @@
-"""The Observer: one handle bundling a registry and a tracer.
+"""The Observer: one handle bundling a registry, a tracer and a journal.
 
 Every :class:`~repro.core.crimes.Crimes` instance owns one
-(``crimes.observer``); the epoch loop, checkpointer, detector, output
-buffer, and async scanner all write into it. ``summary()`` is the
-machine-readable export the CLI prints and the BENCH writer persists.
+(``crimes.observer``) and hands it to each component it builds — the
+checkpointer, detector, VMI instance, output buffer, async scanner,
+overlapped audit and fault injector — as their one ``observer``
+argument; a component built alone makes its own. Components record
+metrics in ``observer.registry`` and events in ``observer.flight``, the
+tenant's hash-chained flight journal; a counter that counts one journal
+kind is bound to it (:meth:`~repro.obs.flight.FlightRecorder.bind_counter`)
+and bumped by the journal. ``summary()`` is the machine-readable export
+the CLI prints and the BENCH writer persists.
 """
 
 from repro.obs.exporters import (
@@ -20,32 +26,15 @@ from repro.obs.tracer import Tracer
 class Observer:
     """Metrics + tracing + flight journal for one protected VM."""
 
-    def __init__(self, clock, name="vm", capture_wall=False,
-                 max_trace_events=100000, flight_capacity=4096):
+    def __init__(self, clock, name="vm"):
         self.name = name
         self.clock = clock
         self.registry = MetricsRegistry(clock)
-        self.tracer = Tracer(clock, capture_wall=capture_wall,
-                             max_events=max_trace_events)
-        self.flight = FlightRecorder(clock, tenant=name,
-                                     capacity=flight_capacity)
-
-    # -- instrument shortcuts ---------------------------------------------
-
-    def counter(self, name, help=""):
-        return self.registry.counter(name, help=help)
-
-    def gauge(self, name, help=""):
-        return self.registry.gauge(name, help=help)
-
-    def histogram(self, name, **kwargs):
-        return self.registry.histogram(name, **kwargs)
+        self.tracer = Tracer(clock)
+        self.flight = FlightRecorder(clock, tenant=name)
 
     def span(self, name, **attrs):
         return self.tracer.span(name, **attrs)
-
-    def event(self, name, **attrs):
-        return self.tracer.event(name, **attrs)
 
     def journal(self, kind, epoch=None, **attrs):
         """Record a flight event, causally tied to the current span."""

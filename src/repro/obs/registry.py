@@ -13,6 +13,7 @@ buckets) so percentile estimates are cheap, mergeable, and bounded in
 memory no matter how many epochs a run covers.
 """
 
+import bisect
 import math
 
 from repro.errors import ObservabilityError
@@ -91,7 +92,9 @@ class Histogram(_Instrument):
 
     ``bucket_counts[i]`` counts observations ``<= buckets[i]``
     (non-cumulative storage; :meth:`percentile` accumulates). Anything
-    above the last bound lands in the overflow bucket.
+    above the last bound lands in the overflow bucket. NaN compares
+    false against every bound, so it would land in the first bucket;
+    no instrument observes NaN.
     """
 
     kind = "histogram"
@@ -114,12 +117,8 @@ class Histogram(_Instrument):
         self.sum += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                break
-        else:
-            self.bucket_counts[-1] += 1
+        # The first bound >= value; len(buckets) is the overflow bucket.
+        self.bucket_counts[bisect.bisect_left(self.buckets, value)] += 1
         self._touch()
 
     @property

@@ -112,14 +112,17 @@ class SLOWatchdog:
         self.config = config
         self.max_evaluations = max_evaluations
         self.evaluations = []
-        self.alerts = 0
         registry = observer.registry
         self._eval_counter = registry.counter(
             "slo.evaluations", help="per-epoch SLO policy evaluations")
-        self._alert_counter = registry.counter(
-            "slo.alerts", help="budget breaches journaled")
-        self._nudge_counter = registry.counter(
-            "slo.interval_nudges", help="interval corrections applied")
+        self._alert_counter = observer.flight.bind_counter(
+            "slo.alert", registry.counter(
+                "slo.alerts", help="budget breaches journaled"))
+        observer.flight.bind_counter("slo.nudge", registry.counter(
+            "slo.interval_nudges", help="interval corrections applied"))
+
+    #: Budget breaches journaled (the journal bumps ``slo.alerts``).
+    alerts = property(lambda self: self._alert_counter.value)
 
     # -- measurement -------------------------------------------------------
 
@@ -164,16 +167,12 @@ class SLOWatchdog:
             del self.evaluations[0]
         self._eval_counter.inc()
 
-        flight = getattr(self.observer, "flight", None)
         for result in breaches:
-            self.alerts += 1
-            self._alert_counter.inc()
-            if flight is not None:
-                flight.record(
-                    "slo.alert", epoch=evaluation["epoch"],
-                    budget=result["budget"], value=result["value"],
-                    limit=result["limit"], unit=result["unit"],
-                )
+            self.observer.flight.record(
+                "slo.alert", epoch=evaluation["epoch"],
+                budget=result["budget"], value=result["value"],
+                limit=result["limit"], unit=result["unit"],
+            )
         if breaches:
             self._steer(evaluation)
         return evaluation
@@ -196,14 +195,11 @@ class SLOWatchdog:
         nudged = self.controller.nudge(current, direction)
         if nudged != current:
             self.config.epoch_interval_ms = nudged
-            self._nudge_counter.inc()
-            flight = getattr(self.observer, "flight", None)
-            if flight is not None:
-                flight.record(
-                    "slo.nudge", epoch=evaluation["epoch"],
-                    direction=direction, interval_ms=nudged,
-                    previous_interval_ms=current,
-                )
+            self.observer.flight.record(
+                "slo.nudge", epoch=evaluation["epoch"],
+                direction=direction, interval_ms=nudged,
+                previous_interval_ms=current,
+            )
 
     # -- export ------------------------------------------------------------
 
@@ -281,11 +277,7 @@ def attach_slo_watchdog(crimes, policy=None, controller=None):
     :func:`~repro.core.adaptive.attach_adaptive_interval` drives; a
     shared controller instance composes both).
     """
-    watchdog = getattr(crimes, "slo_watchdog", None)
-    if watchdog is None:
-        watchdog = SLOWatchdog(crimes.observer)
-        crimes.on("epoch", watchdog.evaluate)
-        crimes.slo_watchdog = watchdog
+    watchdog = crimes.slo_watchdog
     if policy is not None:
         watchdog.policy = policy
     if controller is not None:

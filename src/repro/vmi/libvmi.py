@@ -18,6 +18,7 @@ from repro.guest.layout import cstring
 from repro.guest.memory import PAGE_SIZE
 from repro.guest.pagetable import KERNEL_BASE, kernel_pa
 from repro.guest.windows import TCP_STATE_NAMES, bytes_to_ip
+from repro.obs.observer import Observer
 from repro.sim.rng import SeededStream
 from repro.vmi.costmodel import VmiCostModel
 from repro.vmi.osprofile import profile_for
@@ -27,6 +28,9 @@ _MAX_LIST_LENGTH = 65536
 
 #: First page of the kernel direct map.
 _KERNEL_VPN = KERNEL_BASE // PAGE_SIZE
+
+#: The end of the 64-bit address space: no VA at or above it translates.
+_VA_LIMIT = 1 << 64
 
 
 class ProcessInfo:
@@ -92,14 +96,17 @@ class SocketInfo:
 class VMIInstance:
     """LibVMI-style handle onto one domain."""
 
-    def __init__(self, domain, cost_model=None, seed=0):
+    def __init__(self, domain, cost_model=None, seed=0, observer=None):
         self.domain = domain
         self.vm = domain.vm
         self.costs = cost_model if cost_model is not None else VmiCostModel()
         self._jitter_rng = SeededStream(seed, "vmi/%s" % self.vm.name)
         self._cost_ms = 0.0
         self._injector = None
-        self._flight = None
+        if observer is None:
+            observer = Observer(self.vm.clock)
+        #: Introspection anomalies (truncated walks) are journaled here.
+        self._flight = observer.flight
         self.init_cost_ms = 0.0
         self.preprocess_cost_ms = 0.0
         self._initialize()
@@ -107,10 +114,6 @@ class VMIInstance:
     def attach_injector(self, injector):
         """Route reads through the VMI_READ fault plane."""
         self._injector = injector
-
-    def attach_flight(self, flight):
-        """Journal introspection anomalies (truncated walks) to ``flight``."""
-        self._flight = flight
 
     # -- cost accounting ---------------------------------------------------
 
@@ -186,12 +189,16 @@ class VMIInstance:
 
         ``pid=0`` or an address at or above ``KERNEL_BASE`` goes through
         the kernel direct map; anything else through ``pid``'s page
-        table. An address with no translation — below the direct map in
-        kernel space, unmapped, or of an unknown pid — raises
+        table. An address with no translation — at or past 2^64 (a guest
+        ``addr + size`` that overflowed), below the direct map in kernel
+        space, unmapped, or of an unknown pid — raises
         :class:`IntrospectionError` (LibVMI's ``VMI_FAILURE``): such
         addresses come from guest memory, so the audit must see a failed
         introspection, not a guest fault.
         """
+        if vaddr >= _VA_LIMIT:
+            raise IntrospectionError(
+                "address 0x%x is past the 64-bit address space" % vaddr)
         try:
             if pid == 0 or vaddr >= KERNEL_BASE:
                 return kernel_pa(vaddr)
@@ -255,11 +262,10 @@ class VMIInstance:
         and the node, then raise so the audit loop escalates (the same
         path a torn foreign mapping takes).
         """
-        if self._flight is not None:
-            self._flight.record(
-                "vmi.list_truncated", list=what, node_va=node_va,
-                nodes=nodes, reason=reason,
-            )
+        self._flight.record(
+            "vmi.list_truncated", list=what, node_va=node_va,
+            nodes=nodes, reason=reason,
+        )
         raise IntrospectionError(
             "%s list does not terminate (%s at 0x%x after %d nodes)"
             % (what, reason, node_va, nodes)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.faults import ALL_PLANES, FaultPlan, FaultSchedule
+from repro.faults.chaos import run_chaos
 from repro.guest.linux import LinuxGuest
 from repro.guest.windows import WindowsGuest
 from repro.hypervisor.xen import Hypervisor
@@ -30,3 +32,17 @@ def linux_domain(linux_vm):
 def windows_domain(windows_vm):
     hypervisor = Hypervisor(clock=windows_vm.clock)
     return hypervisor.create_domain(windows_vm)
+
+
+@pytest.fixture
+def chaos_seed7():
+    """The run of ``repro chaos --seed 7 --epochs 20 --interval-ms 20``.
+
+    Every fault plane armed with the CLI's default transient schedule
+    (probability 0.25, magnitude 1 ms); returns :func:`run_chaos`'s
+    evidence dict.
+    """
+    plan = FaultPlan.uniform(
+        lambda: FaultSchedule.transient(probability=0.25, magnitude_ms=1.0),
+        planes=list(ALL_PLANES), seed=7)
+    return run_chaos(fault_plan=plan, seed=7, epochs=20, interval_ms=20.0)

@@ -112,9 +112,10 @@ def _heap_scenario(draw):
         scribbled = set()
     # Hostile table entries: an object address rewritten to a user page
     # the process never mapped, or to a kernel direct-map alias of a
+    # heap byte, or an entry whose addr + size wraps past 2^64 onto a
     # heap byte.
     corrupted = draw(st.lists(
-        st.tuples(index, st.sampled_from(["unmapped", "kernel"]),
+        st.tuples(index, st.sampled_from(["unmapped", "kernel", "wrap"]),
                   st.integers(0, 16 * PAGE_SIZE - 1)),
         max_size=min(n, 2), unique_by=lambda entry: entry[0]))
     dirty_salt = draw(st.integers(0, 2 ** 32 - 1))
@@ -162,16 +163,18 @@ def _scan_once(scenario, module, injector=None):
     for index, target, offset in scenario["corrupted"]:
         # Entry ``index`` belongs to the index-th allocation: entries are
         # appended by malloc and converted in place by free.
+        entry_va = (process.heap.table_va + CANARY_TABLE_HEADER.size
+                    + index * CANARY_ENTRY.size)
         if target == "unmapped":
             addr = 0x66600000 + offset
-        else:
+        elif target == "kernel":
             addr = KERNEL_BASE + process.page_table.translate(
                 heap_base + offset)
-        process.write_u64(
-            process.heap.table_va + CANARY_TABLE_HEADER.size
-            + index * CANARY_ENTRY.size + CANARY_ENTRY.offset_of("addr"),
-            addr,
-        )
+        else:
+            addr = 2 ** 63
+            process.write_u64(entry_va + CANARY_ENTRY.offset_of("size"),
+                              2 ** 63 + heap_base + offset)
+        process.write_u64(entry_va + CANARY_ENTRY.offset_of("addr"), addr)
 
     vmi = VMIInstance(domain, seed=5,
                       cost_model=VmiCostModel(JITTER=scenario["jitter"]))
@@ -220,6 +223,10 @@ def _scenario(sizes, **overrides):
 @example(scenario=_scenario([16], clobbered=[0]))
 @example(scenario=_scenario([8, 24, 40, 64], freed=[1], scribbled=[1],
                             clobbered=[3]))
+# Entry 0's addr + size wraps onto entry 1's clobbered canary (heap
+# offset 32 + 32).
+@example(scenario=_scenario([16, 32], clobbered=[1],
+                            corrupted=[(0, "wrap", 64)]))
 def test_slab_canary_scan_matches_seed_loop(scenario):
     """Same findings, same counters, bit-identical charged time."""
     fast = _scan_once(scenario, CanaryScanModule())
@@ -236,8 +243,9 @@ def test_slab_canary_scan_matches_seed_loop(scenario):
 @given(scenario=_heap_scenario())
 def test_scan_all_pages_ignores_dirty_filter(scenario):
     """scan_all_pages=True checks everything on both implementations."""
-    # An entry rewritten to an unmapped page has nothing to check, so
-    # only the kernel-alias rewrites take part here.
+    # An entry rewritten to an unmapped page or a wrapping addr + size
+    # has nothing to check, so only the kernel-alias rewrites take part
+    # here.
     scenario = dict(scenario, scan_all=True, corrupted=[
         entry for entry in scenario["corrupted"] if entry[1] == "kernel"])
     fast = _scan_once(scenario, CanaryScanModule(scan_all_pages=True))

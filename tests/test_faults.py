@@ -19,8 +19,7 @@ from repro.faults import (
     RetryPolicy,
     ScheduleKind,
 )
-from repro.obs import MetricsRegistry
-from repro.obs.flight import FlightRecorder
+from repro.obs import Observer
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import SeededStream
 
@@ -201,11 +200,9 @@ class TestRetryPolicy:
 
 class TestFaultInjector:
     def make_injector(self, plan):
-        clock = VirtualClock()
-        registry = MetricsRegistry(clock)
-        flight = FlightRecorder(clock, tenant="t")
-        return FaultInjector(plan, registry=registry, flight=flight), \
-            registry, flight
+        observer = Observer(VirtualClock())
+        return FaultInjector(plan, observer=observer), \
+            observer.registry, observer.flight
 
     def test_empty_plan_never_arms(self):
         injector, registry, flight = self.make_injector(FaultPlan.none())

@@ -37,8 +37,7 @@ from repro.guest.linux import TASK_STRUCT, LinuxGuest
 from repro.guest.memory import PAGE_SIZE
 from repro.guest.pagetable import KERNEL_BASE, kernel_pa
 from repro.netbuf.buffer import BufferMode, OutputBuffer
-from repro.obs import MetricsRegistry
-from repro.obs.flight import FlightRecorder
+from repro.obs import Observer
 from repro.sim.clock import VirtualClock
 from repro.workloads.kvstore import KeyValueStoreProgram
 
@@ -46,11 +45,10 @@ from repro.workloads.kvstore import KeyValueStoreProgram
 def make_buffer():
     clock = VirtualClock()
     sink = OutputSink(clock)
-    registry = MetricsRegistry(clock)
-    flight = FlightRecorder(clock, tenant="t")
+    observer = Observer(clock)
     buffer = OutputBuffer(sink, mode=BufferMode.SYNCHRONOUS, clock=clock,
-                          registry=registry, flight=flight)
-    return buffer, sink, registry, flight
+                          observer=observer)
+    return buffer, sink, observer.registry, observer.flight
 
 
 class TestStaleRelease:
@@ -113,13 +111,13 @@ class TestAsyncLateVerdictRace:
 
         vm = linux_domain.vm
         clock = vm.clock
-        registry = MetricsRegistry(clock)
-        flight = FlightRecorder(clock, tenant="t")
+        observer = Observer(clock)
         checkpointer = Checkpointer(linux_domain)
         checkpointer.start()
-        scanner = AsyncScanner(clock, registry=registry, flight=flight)
+        scanner = AsyncScanner(clock, observer=observer)
         scanner.install(FakeDeepScan(cost_ms=100.0))
-        return scanner, checkpointer, vm, clock, registry, flight
+        return (scanner, checkpointer, vm, clock, observer.registry,
+                observer.flight)
 
     def test_cancelled_job_never_delivers_a_verdict(self, linux_domain):
         scanner, checkpointer, vm, clock, registry, flight = \
@@ -266,8 +264,9 @@ class TestHostileGuestAddresses:
         crimes.add_program(KeyValueStoreProgram(seed=11))
         return crimes
 
+    @pytest.mark.parametrize("rewrite", ["unmapped", "wrap"])
     @pytest.mark.parametrize("clobber", [False, True])
-    def test_untranslatable_canary_entry_is_skipped(self, clobber):
+    def test_untranslatable_canary_entry_is_skipped(self, clobber, rewrite):
         crimes = self.make_crimes(CanaryScanModule())
         process = crimes.vm.create_process("victim")
         objects = [process.malloc(48) for _ in range(4)]
@@ -278,12 +277,19 @@ class TestHostileGuestAddresses:
         _canary, addrs, _sizes, _kinds = crimes.vmi.read_canary_table_slab(
             process.pid, table_va)
         index = addrs.tolist().index(objects[1])
-        # Point one entry at a user page the process never mapped.
-        process.write_u64(
-            table_va + CANARY_TABLE_HEADER.size
-            + index * CANARY_ENTRY.size + CANARY_ENTRY.offset_of("addr"),
-            0x66600000,
-        )
+        entry_va = table_va + CANARY_TABLE_HEADER.size \
+            + index * CANARY_ENTRY.size
+        if rewrite == "unmapped":
+            # Point one entry at a user page the process never mapped.
+            process.write_u64(entry_va + CANARY_ENTRY.offset_of("addr"),
+                              0x66600000)
+        else:
+            # addr + size passes 2^64 and wraps onto objects[3]'s canary:
+            # past the address space, so nothing to check.
+            process.write_u64(entry_va + CANARY_ENTRY.offset_of("addr"),
+                              2 ** 63)
+            process.write_u64(entry_va + CANARY_ENTRY.offset_of("size"),
+                              2 ** 63 + objects[3] + 48)
         if clobber:
             # A real overflow elsewhere in the same table.
             process.write(objects[3] + 48, b"\xee" * 8)

@@ -1,6 +1,7 @@
 """Unit + integration tests for the observability layer (repro.obs)."""
 
 import json
+import os
 
 import pytest
 
@@ -20,6 +21,14 @@ from repro.obs import (
 )
 from repro.sim.clock import VirtualClock
 from repro.workloads.attacks import OverflowAttackProgram
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "fixtures", "prometheus")
+
+
+def prometheus_fixture(name):
+    with open(os.path.join(FIXTURES, name), "rb") as handle:
+        return handle.read().decode("utf-8")
 
 
 class TestRegistry:
@@ -79,6 +88,24 @@ class TestRegistry:
 
     def test_empty_histogram_percentile_is_none(self):
         assert MetricsRegistry().histogram("h").percentile(50) is None
+
+    def test_histogram_value_on_a_bound_stays_in_that_bucket(self):
+        hist = MetricsRegistry().histogram("h", buckets=(1.0, 10.0, 100.0))
+        for value in (1.0, 10.0, 100.0):
+            hist.observe(value)
+        assert hist.bucket_counts == [1, 1, 1, 0]
+
+    def test_histogram_value_below_first_bound(self):
+        hist = MetricsRegistry().histogram("h", buckets=(1.0, 10.0))
+        hist.observe(-3.0)
+        hist.observe(0.0)
+        assert hist.bucket_counts == [2, 0, 0]
+
+    def test_histogram_value_above_last_bound_overflows(self):
+        hist = MetricsRegistry().histogram("h", buckets=(1.0, 10.0))
+        hist.observe(10.000001)
+        hist.observe(1e300)
+        assert hist.bucket_counts == [0, 0, 2]
 
     def test_snapshot_shape(self):
         clock = VirtualClock()
@@ -330,6 +357,22 @@ class TestMetricsCli:
         assert main(["metrics", "--epochs", "2", "--prometheus"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE epoch_committed counter" in out
+
+
+class TestPrometheusFixtures:
+    """Exported instruments stay byte for byte what they were when these
+    fixtures were generated, whichever component bumps them."""
+
+    def test_metrics_cli_default_run(self, capsys):
+        from repro.cli import main
+
+        assert main(["metrics", "--prometheus"]) == 0
+        assert capsys.readouterr().out == \
+            prometheus_fixture("metrics_default.prom")
+
+    def test_chaos_seed7_run(self, chaos_seed7):
+        assert chaos_seed7["crimes"].observer.prometheus_text() == \
+            prometheus_fixture("chaos_seed7.prom")
 
 
 class TestTraceExportOpenSpans:

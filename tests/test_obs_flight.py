@@ -7,9 +7,12 @@ import pytest
 from repro.core.adaptive import AdaptiveIntervalController
 from repro.core.config import CrimesConfig
 from repro.core.crimes import Crimes
-from repro.errors import ConfigError
+from repro.detectors import SyscallTableModule
+from repro.errors import ConfigError, ObservabilityError
+from repro.faults import FaultPlan, FaultPlane, FaultSchedule
+from repro.faults.chaos import run_chaos
 from repro.guest.linux import LinuxGuest
-from repro.obs import Observer
+from repro.obs import MetricsRegistry, Observer
 from repro.obs.flight import (
     GENESIS_HASH,
     FlightRecorder,
@@ -22,6 +25,7 @@ from repro.obs.slo import (
     attach_slo_watchdog,
 )
 from repro.sim.clock import VirtualClock
+from repro.workloads.kvstore import KeyValueStoreProgram
 
 
 class TestFlightRecorder:
@@ -124,6 +128,49 @@ class TestFlightRecorder:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             FlightRecorder(VirtualClock(), capacity=0)
+
+
+class TestCountedKinds:
+    def test_bound_counter_counts_its_kind_at_record_time(self):
+        clock = VirtualClock()
+        recorder = FlightRecorder(clock)
+        counter = recorder.bind_counter(
+            "epoch.commit", MetricsRegistry(clock).counter("commits"))
+        recorder.record("epoch.commit", epoch=1)
+        recorder.record("epoch.abort", epoch=2)
+        clock.advance(5.0)
+        recorder.record("epoch.commit", epoch=3)
+        assert counter.value == 2
+        assert counter.updated_at_ms == 5.0
+
+    def test_binding_an_undeclared_kind_raises(self):
+        recorder = FlightRecorder(VirtualClock())
+        with pytest.raises(ObservabilityError, match="undeclared"):
+            recorder.bind_counter("epoch.comit",
+                                  MetricsRegistry().counter("commits"))
+
+    def test_second_counter_for_a_kind_raises(self):
+        registry = MetricsRegistry()
+        recorder = FlightRecorder(VirtualClock())
+        recorder.bind_counter("slo.alert", registry.counter("alerts"))
+        with pytest.raises(ObservabilityError, match="already counted"):
+            recorder.bind_counter("slo.alert", registry.counter("other"))
+
+    def test_rebinding_the_same_counter_is_a_noop(self):
+        registry = MetricsRegistry()
+        recorder = FlightRecorder(VirtualClock())
+        counter = registry.counter("alerts")
+        assert recorder.bind_counter("slo.alert", counter) is counter
+        assert recorder.bind_counter("slo.alert", counter) is counter
+        recorder.record("slo.alert")
+        assert counter.value == 1
+
+    def test_components_sharing_an_observer_share_the_counter(self):
+        observer = Observer(VirtualClock())
+        first = SLOWatchdog(observer)
+        second = SLOWatchdog(observer)
+        observer.flight.record("slo.alert")
+        assert first.alerts == second.alerts == 1
 
 
 class TestSLOPolicy:
@@ -259,3 +306,152 @@ class TestAdaptiveNudge:
         controller = AdaptiveIntervalController()
         with pytest.raises(ConfigError):
             controller.nudge(50.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Counters that count one journal kind agree with the journal
+# ---------------------------------------------------------------------------
+
+#: Journal kind -> the registry counter bumped when it is recorded.
+COUNTED_KINDS = {
+    "epoch.commit": "checkpoint.commits",
+    "epoch.abort": "checkpoint.aborts",
+    "async.dispatch": "async.jobs_started",
+    "async.cancelled": "async.jobs_cancelled",
+    "buffer.release_stale": "netbuf.stale_releases",
+    "fault.injected": "faults.injected_total",
+    "fault.recovered": "faults.recovered_total",
+    "fault.escalated": "faults.escalated_total",
+    "slo.alert": "slo.alerts",
+    "slo.nudge": "slo.interval_nudges",
+    "epoch.held": "epoch.held",
+}
+
+#: Journal kind -> the plain attribute that reads the same count.
+MIRRORS = {
+    "async.dispatch": lambda crimes: crimes.async_scanner.jobs_started,
+    "async.cancelled": lambda crimes: crimes.async_scanner.jobs_cancelled,
+    "fault.injected": lambda crimes: crimes.injector.injected_total,
+    "fault.recovered": lambda crimes: crimes.injector.recovered_total,
+    "fault.escalated": lambda crimes: crimes.injector.escalated_total,
+    "slo.alert": lambda crimes: crimes.slo_watchdog.alerts,
+    "epoch.held": lambda crimes: crimes.epochs_held,
+    "epoch.rolled_back": lambda crimes: crimes.fault_rollbacks,
+}
+
+
+def assert_counts_match_journal(crimes, fired):
+    """Every counter and mirror equals its kind's count in the journal."""
+    flight = crimes.observer.flight
+    registry = crimes.observer.registry
+    assert flight.evicted == 0
+    counts = {kind: len(flight.events(kind=kind))
+              for kind in set(COUNTED_KINDS) | set(MIRRORS)}
+    assert all(counts[kind] for kind in fired), counts
+    for kind, name in COUNTED_KINDS.items():
+        if name in registry:
+            assert registry.get(name).value == counts[kind], kind
+        else:  # the fault counters exist only with an injector
+            assert counts[kind] == 0, kind
+    for kind, mirror in MIRRORS.items():
+        if crimes.injector is not None or not kind.startswith("fault."):
+            assert mirror(crimes) == counts[kind], kind
+    shed = flight.events(kind="degraded.shed")
+    assert crimes.epochs_shed == sum(e.attrs["epochs_shed"] for e in shed)
+
+
+class _SlowDeepScan:
+    """An async deep-scan module that never finishes within the run."""
+
+    name = "slow-deep-scan"
+
+    def cost_ms(self, dump):
+        return 10_000.0
+
+    def scan(self, dump):
+        return []
+
+
+def counted_crimes(name, fault_plan=None, **config):
+    vm = LinuxGuest(name=name, memory_bytes=4 * 1024 * 1024, seed=5)
+    crimes = Crimes(vm, CrimesConfig(epoch_interval_ms=20.0, seed=5,
+                                     **config), fault_plan=fault_plan)
+    crimes.install_module(SyscallTableModule())
+    crimes.add_program(KeyValueStoreProgram(seed=5))
+    return crimes
+
+
+def async_scan_cut_short():
+    """A deep scan still in flight when an audit fault rolls back."""
+    plan = FaultPlan.single(FaultPlane.VMI_READ,
+                            FaultSchedule.burst(start_epoch=3, duration=1),
+                            seed=5)
+    crimes = counted_crimes("counted-async", fault_plan=plan)
+    crimes.install_async_module(_SlowDeepScan())
+    crimes.start()
+    crimes.run(max_epochs=5)
+    return crimes
+
+
+def stale_overlapped_release():
+    """An overlapped epoch's outputs discarded before its verdict lands."""
+    crimes = counted_crimes("counted-overlap", overlap_audit=True)
+    crimes.start()
+    crimes.run_epoch()
+    assert crimes.overlap.queued == [1]
+    crimes.buffer.discard()
+    crimes.clock.advance(1000.0)
+    assert crimes.overlap.drain() == (0, 0)
+    return crimes
+
+
+def slo_nudge():
+    """An unmeetable overhead budget steering the interval up."""
+    crimes = counted_crimes("counted-slo")
+    attach_slo_watchdog(
+        crimes,
+        policy=SLOPolicy([SLOBudget("epoch_overhead_pct", 0.0001,
+                                    unit="%")]),
+        controller=AdaptiveIntervalController(min_interval_ms=10.0,
+                                              max_interval_ms=400.0),
+    )
+    crimes.start()
+    crimes.run(max_epochs=3)
+    return crimes
+
+
+def held_epochs():
+    """A persistent backup-sync fault: epochs held, then shed."""
+    plan = FaultPlan.single(FaultPlane.BACKUP_SYNC,
+                            FaultSchedule.persistent(start_epoch=3), seed=0)
+    return run_chaos(fault_plan=plan, seed=0, epochs=10,
+                     max_hold_epochs=3)["crimes"]
+
+
+#: Scenario -> the counted kinds it exists to fire.
+SCENARIOS = {
+    async_scan_cut_short: ("async.dispatch", "async.cancelled",
+                           "epoch.abort"),
+    stale_overlapped_release: ("buffer.release_stale", "epoch.commit"),
+    slo_nudge: ("slo.alert", "slo.nudge"),
+    held_epochs: ("epoch.held", "fault.injected", "fault.escalated"),
+}
+
+CHAOS_KINDS = ("epoch.commit", "epoch.abort", "fault.injected",
+               "fault.recovered", "fault.escalated", "slo.alert")
+
+
+class TestCountersAgreeWithJournal:
+    def test_scenarios_fire_every_counted_kind(self):
+        fired = set(CHAOS_KINDS)
+        for kinds in SCENARIOS.values():
+            fired.update(kinds)
+        assert fired == set(COUNTED_KINDS)
+
+    def test_chaos_run(self, chaos_seed7):
+        assert_counts_match_journal(chaos_seed7["crimes"], CHAOS_KINDS)
+
+    @pytest.mark.parametrize("scenario", list(SCENARIOS),
+                             ids=lambda scenario: scenario.__name__)
+    def test_scenario(self, scenario):
+        assert_counts_match_journal(scenario(), SCENARIOS[scenario])

@@ -18,7 +18,7 @@ from repro.errors import IntrospectionError
 from repro.faults import FaultPlan, FaultPlane, FaultSchedule
 from repro.faults.injector import FaultInjector
 from repro.guest.linux import TASK_STRUCT
-from repro.obs.flight import FlightRecorder
+from repro.obs import Observer
 from repro.vmi.libvmi import VMIInstance
 
 
@@ -55,10 +55,11 @@ class TestListWalkCycleDetection:
         # charged (scan base + 4 node reads) is well under a millisecond.
         assert vmi.take_cost_ms() < 1.0
 
-    def test_cycle_is_journaled_as_evidence(self, vmi, linux_domain):
+    def test_cycle_is_journaled_as_evidence(self, linux_domain):
         vm = linux_domain.vm
-        flight = FlightRecorder(vm.clock, tenant="t")
-        vmi.attach_flight(flight)
+        observer = Observer(vm.clock)
+        flight = observer.flight
+        vmi = VMIInstance(linux_domain, seed=1, observer=observer)
         self.corrupt_into_cycle(vm)
         with pytest.raises(IntrospectionError):
             vmi.list_processes()
@@ -67,10 +68,11 @@ class TestListWalkCycleDetection:
         assert event.attrs["reason"] == "cycle"
         assert event.attrs["nodes"] == 4  # init + three children
 
-    def test_cyclic_module_list_raises(self, vmi, linux_domain):
+    def test_cyclic_module_list_raises(self, linux_domain):
         vm = linux_domain.vm
-        flight = FlightRecorder(vm.clock, tenant="t")
-        vmi.attach_flight(flight)
+        observer = Observer(vm.clock)
+        flight = observer.flight
+        vmi = VMIInstance(linux_domain, seed=1, observer=observer)
         modules = vmi.list_modules()
         assert len(modules) >= 2
         # Rewrite the second module's next pointer back to the first.
