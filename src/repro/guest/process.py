@@ -58,8 +58,12 @@ class UserProcess:
 
     def write(self, vaddr, data):
         """Store bytes at a virtual address (may span pages)."""
-        offset = 0
         remaining = len(data)
+        if 0 < remaining <= PAGE_SIZE - vaddr % PAGE_SIZE:
+            # Within one page: one translation, one store, no slicing.
+            self.vm.memory.write(self.page_table.translate(vaddr), data)
+            return
+        offset = 0
         while remaining > 0:
             paddr = self.page_table.translate(vaddr + offset)
             room = PAGE_SIZE - (paddr % PAGE_SIZE)

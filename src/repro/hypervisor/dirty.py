@@ -96,9 +96,9 @@ class DirtyBitmap:
     def set_range(self, first_pfn, last_pfn):
         """Mark the inclusive frame range dirty (multi-frame store path).
 
-        This is the hook a bulk guest store notifies once, instead of one
-        observer call per frame; interior whole bytes are filled with a
-        single slice store.
+        A guest store that spans frames marks them with this one call
+        (a single-frame store calls :meth:`set`); interior whole bytes
+        are filled with a single slice store.
         """
         if first_pfn > last_pfn:
             return

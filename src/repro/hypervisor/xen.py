@@ -31,29 +31,35 @@ class Domain:
         self.clock = clock
         self.state = DomainState.RUNNING
         self.dirty_bitmap = DirtyBitmap(vm.memory.frame_count)
-        self._log_dirty_enabled = False
         self.event_monitor = MemoryEventMonitor(vm, clock)
 
     # -- log-dirty mode ------------------------------------------------------
 
     def enable_log_dirty(self):
-        if self._log_dirty_enabled:
+        """Attach this domain's bitmap as the guest RAM's log-dirty hook.
+
+        Every guest store then marks its frames straight into the
+        bitmap. RAM has one hook: enabling again is a no-op, and a
+        second domain over the same guest cannot take it over.
+        """
+        memory = self.vm.memory
+        if memory.dirty_log is self.dirty_bitmap:
             return
-        # Range observer: one callback per store, however many frames it
-        # spans, with whole-byte bitmap fills for large spans — the
-        # batched dispatch path of the write-notification fast path.
-        self.vm.memory.add_dirty_range_observer(self.dirty_bitmap.set_range)
-        self._log_dirty_enabled = True
+        if memory.dirty_log is not None:
+            raise HypervisorError(
+                "log-dirty mode is already enabled on %r by another domain"
+                % self.vm.name
+            )
+        memory.dirty_log = self.dirty_bitmap
 
     def disable_log_dirty(self):
-        if not self._log_dirty_enabled:
-            return
-        self.vm.memory.remove_dirty_range_observer(self.dirty_bitmap.set_range)
-        self._log_dirty_enabled = False
+        memory = self.vm.memory
+        if memory.dirty_log is self.dirty_bitmap:
+            memory.dirty_log = None
 
     @property
     def log_dirty_enabled(self):
-        return self._log_dirty_enabled
+        return self.vm.memory.dirty_log is self.dirty_bitmap
 
     def harvest_dirty(self, optimized, fault=None, injector=None):
         """Harvest-and-clear the dirty bitmap, surviving harvest faults.

@@ -353,14 +353,19 @@ def test_mid_scan_fail_fault_raises_like_seed_loop(scenario, skip, shots):
 # Checkpointer: fused harvest+stage / vectorized commit+rollback vs seed
 # ---------------------------------------------------------------------------
 
-_CKPT_FRAMES = 512  # 2 MiB of simulated RAM
+_CKPT_FRAMES = 1024  # 4 MiB of simulated RAM: four rollback blocks
 
 _EPOCH_PLAN = st.lists(
     st.tuples(
         st.lists(st.tuples(st.integers(0, _CKPT_FRAMES - 1),
                            st.integers(0, 255)),
                  max_size=10),
-        st.sampled_from(["commit", "rollback"]),
+        # Bulk dirtying: (first pfn, frames, byte) runs of whole frames,
+        # long enough that the rollback candidates cross block borders.
+        st.lists(st.tuples(st.integers(0, _CKPT_FRAMES - 1),
+                           st.integers(1, 700), st.integers(0, 255)),
+                 max_size=2),
+        st.sampled_from(["commit", "rollback", "restore+rollback"]),
     ),
     min_size=1, max_size=5,
 )
@@ -383,19 +388,28 @@ def test_checkpointer_matches_seed_paths(plan, history):
     fast = _make_checkpointer(Checkpointer, history)
     reference = _make_checkpointer(LegacyCheckpointer, history)
 
-    for writes, action in plan:
+    for writes, runs, action in plan:
         for checkpointer in (fast, reference):
             vm = checkpointer.domain.vm
             for pfn, byte in writes:
                 vm.memory.write(pfn * PAGE_SIZE + (pfn % PAGE_SIZE),
                                 bytes([byte]))
                 vm.memory.touch_frame(pfn)
+            for first, frames, byte in runs:
+                frames = min(frames, _CKPT_FRAMES - first)
+                vm.memory.write(first * PAGE_SIZE,
+                                bytes([byte]) * (frames * PAGE_SIZE))
             checkpointer.run_checkpoint(interval_ms=25.0)
         if action == "commit":
             assert fast.commit() == reference.commit()
         else:
-            fast.abort()
-            reference.abort()
+            for checkpointer in (fast, reference):
+                checkpointer.abort()
+                if action == "restore+rollback":
+                    # An untracked bulk load: rollback must diff every
+                    # frame instead of the tracked candidates.
+                    vm = checkpointer.domain.vm
+                    vm.restore(vm.snapshot())
             assert fast.rollback() == reference.rollback()
 
         fast_vm = fast.domain.vm

@@ -233,3 +233,40 @@ def test_rollback_falls_back_after_untracked_bulk_load():
 
     checkpointer.rollback()
     assert bytes(vm.memory.view()) == reference
+
+
+def test_full_image_rollback_allocation_does_not_scale_with_ram():
+    """The every-frame fallback diffs in blocks: flat allocation, exact cost.
+
+    On a 64 MiB guest the peak stays a few blocks' worth, far below one
+    RAM-sized gather, and the cost prices exactly the frames that differ.
+    """
+    domain = make_domain(memory_bytes=64 * 1024 * 1024)
+    vm = domain.vm
+    checkpointer = Checkpointer(domain)
+    checkpointer.start()
+    checkpointer.run_checkpoint(interval_ms=20.0)
+    checkpointer.commit()
+    backup = checkpointer.backup_snapshot().memory_image
+
+    for pfn in range(0, vm.memory.frame_count, 7):
+        vm.memory.touch_frame(pfn, value=0x5A)
+    vm.restore(vm.snapshot())  # untracked: rollback must diff every frame
+    vm.memory.write(5 * PAGE_SIZE + 3, b"after-restore")
+    expected_differing = sum(
+        vm.memory.read_frame(pfn) != backup[pfn * PAGE_SIZE:(pfn + 1) * PAGE_SIZE]
+        for pfn in range(vm.memory.frame_count)
+    )
+    assert expected_differing > 1000  # many blocks' worth of restores
+
+    tracemalloc.start()
+    try:
+        cost_ms = checkpointer.rollback()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024 * 1024, (
+        "full-image rollback peak allocation %d bytes scales with RAM" % peak
+    )
+    assert cost_ms == checkpointer.costs.rollback_ms(expected_differing)
+    assert vm.memory.snapshot_bytes() == backup

@@ -1,9 +1,21 @@
 """Unit tests for simulated physical memory."""
 
+import numpy as np
 import pytest
 
 from repro.errors import PhysicalAccessError
 from repro.guest.memory import PAGE_SIZE, PhysicalMemory
+from repro.hypervisor.dirty import DirtyBitmap
+
+
+def _attach_log(memory):
+    """Attach a fresh log-dirty bitmap to ``memory`` and return it."""
+    memory.dirty_log = DirtyBitmap(memory.frame_count)
+    return memory.dirty_log
+
+
+def _marked(bitmap):
+    return bitmap.scan_by_words()[0]
 
 
 def test_size_must_be_page_multiple():
@@ -42,19 +54,18 @@ def test_out_of_range_write_rejected():
 
 def test_dirty_observer_fires_per_touched_frame():
     memory = PhysicalMemory(PAGE_SIZE * 4)
-    dirtied = []
-    memory.add_dirty_observer(dirtied.append)
+    bitmap = _attach_log(memory)
     memory.write(PAGE_SIZE - 1, b"ab")  # spans frames 0 and 1
-    assert dirtied == [0, 1]
+    assert _marked(bitmap) == [0, 1]
+    assert bitmap.count() == 2
 
 
 def test_removed_observer_stops_firing():
     memory = PhysicalMemory(PAGE_SIZE * 2)
-    dirtied = []
-    memory.add_dirty_observer(dirtied.append)
-    memory.remove_dirty_observer(dirtied.append)
+    bitmap = _attach_log(memory)
+    memory.dirty_log = None
     memory.write(0, b"x")
-    assert dirtied == []
+    assert _marked(bitmap) == []
 
 
 def test_write_observer_gets_address_and_data():
@@ -67,10 +78,9 @@ def test_write_observer_gets_address_and_data():
 
 def test_touch_frame_dirties_one_frame():
     memory = PhysicalMemory(PAGE_SIZE * 4)
-    dirtied = []
-    memory.add_dirty_observer(dirtied.append)
+    bitmap = _attach_log(memory)
     memory.touch_frame(2)
-    assert dirtied == [2]
+    assert _marked(bitmap) == [2]
     assert memory.read(2 * PAGE_SIZE, 1) != b"\x00"
 
 
@@ -105,10 +115,11 @@ def test_load_bytes_rejects_wrong_size():
 def test_load_bytes_does_not_notify_by_default():
     memory = PhysicalMemory(PAGE_SIZE * 2)
     image = memory.snapshot_bytes()
-    dirtied = []
-    memory.add_dirty_observer(dirtied.append)
+    bitmap = _attach_log(memory)
     memory.load_bytes(image)
-    assert dirtied == []
+    assert _marked(bitmap) == []
+    memory.load_bytes(image, notify=True)
+    assert _marked(bitmap) == [0, 1]
 
 
 def test_view_is_read_only():
@@ -118,35 +129,53 @@ def test_view_is_read_only():
         view[0] = 1
 
 
+class _CallLog(DirtyBitmap):
+    """A bitmap that records which marking call each store made."""
+
+    def __init__(self, frame_count):
+        super().__init__(frame_count)
+        self.calls = []
+
+    def set(self, pfn):
+        self.calls.append(("set", pfn))
+        super().set(pfn)
+
+    def set_range(self, first_pfn, last_pfn):
+        self.calls.append(("set_range", first_pfn, last_pfn))
+        super().set_range(first_pfn, last_pfn)
+
+
 def test_range_observer_called_once_per_multiframe_store():
     memory = PhysicalMemory(8 * PAGE_SIZE)
-    spans = []
-    memory.add_dirty_range_observer(lambda first, last: spans.append((first, last)))
+    bitmap = memory.dirty_log = _CallLog(memory.frame_count)
     memory.write(PAGE_SIZE - 4, b"\x01" * (2 * PAGE_SIZE))  # spans frames 0-2
-    assert spans == [(0, 2)]
+    assert bitmap.calls == [("set_range", 0, 2)]
+    assert _marked(bitmap) == [0, 1, 2]
     memory.touch_frame(5)
-    assert spans == [(0, 2), (5, 5)]
+    assert bitmap.calls == [("set_range", 0, 2), ("set", 5)]
+    assert _marked(bitmap) == [0, 1, 2, 5]
 
 
 def test_range_and_per_pfn_observers_see_same_frames():
-    memory = PhysicalMemory(8 * PAGE_SIZE)
-    per_pfn = []
-    spans = []
-    memory.add_dirty_observer(per_pfn.append)
-    memory.add_dirty_range_observer(lambda first, last: spans.append((first, last)))
-    memory.write(3 * PAGE_SIZE, b"\x02" * PAGE_SIZE * 2)
-    expanded = [pfn for first, last in spans for pfn in range(first, last + 1)]
-    assert expanded == per_pfn == [3, 4]
+    """One two-frame store and two one-frame stores mark the same bits."""
+    ranged = PhysicalMemory(8 * PAGE_SIZE)
+    per_pfn = PhysicalMemory(8 * PAGE_SIZE)
+    ranged_log = _attach_log(ranged)
+    per_pfn_log = _attach_log(per_pfn)
+    ranged.write(3 * PAGE_SIZE, b"\x02" * PAGE_SIZE * 2)
+    per_pfn.write(3 * PAGE_SIZE, b"\x02" * PAGE_SIZE)
+    per_pfn.write(4 * PAGE_SIZE, b"\x02" * PAGE_SIZE)
+    assert _marked(ranged_log) == _marked(per_pfn_log) == [3, 4]
+    assert ranged_log.count() == per_pfn_log.count() == 2
 
 
 def test_removed_range_observer_stops_firing():
     memory = PhysicalMemory(4 * PAGE_SIZE)
-    spans = []
-    callback = lambda first, last: spans.append((first, last))  # noqa: E731
-    memory.add_dirty_range_observer(callback)
-    memory.remove_dirty_range_observer(callback)
-    memory.write(0, b"data")
-    assert spans == []
+    bitmap = _attach_log(memory)
+    memory.dirty_log = None
+    memory.write(PAGE_SIZE - 2, b"data")  # a multi-frame store
+    memory.write_frame(2, b"\x03" * PAGE_SIZE)
+    assert _marked(bitmap) == []
 
 
 def test_untracked_loads_generation_counter():
@@ -167,3 +196,27 @@ def test_write_frame_accepts_memoryview():
     source = memoryview(bytes([9]) * PAGE_SIZE)
     memory.write_frame(2, source)
     assert memory.read_frame(2) == bytes([9]) * PAGE_SIZE
+
+
+def test_load_frames_scatters_untracked():
+    memory = PhysicalMemory(4 * PAGE_SIZE)
+    bitmap = _attach_log(memory)
+    rows = np.full((2, PAGE_SIZE // 8), 0x0101010101010101, dtype=np.uint64)
+    memory.load_frames(np.array([3, 1]), rows)
+    assert memory.read_frame(1) == memory.read_frame(3) == b"\x01" * PAGE_SIZE
+    assert memory.read_frame(0) == bytes(PAGE_SIZE)
+    assert memory.untracked_loads == 2  # one per frame, like write_frame
+    assert _marked(bitmap) == []
+
+
+@pytest.mark.parametrize("pfns, frames", [
+    ([4], 1),      # past the last frame
+    ([-1], 1),     # would wrap around in numpy
+    ([0, 1], 1),   # fewer rows than frames
+])
+def test_load_frames_rejects_bad_input(pfns, frames):
+    memory = PhysicalMemory(4 * PAGE_SIZE)
+    rows = np.zeros((frames, PAGE_SIZE // 8), dtype=np.uint64)
+    with pytest.raises(PhysicalAccessError):
+        memory.load_frames(np.array(pfns), rows)
+    assert memory.untracked_loads == 0

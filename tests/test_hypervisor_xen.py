@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DomainStateError, HypervisorError
 from repro.guest.linux import LinuxGuest
+from repro.guest.memory import PAGE_SIZE
 from repro.hypervisor.foreign_map import MappingTable
 from repro.hypervisor.xen import DomainState, Hypervisor
 
@@ -63,6 +64,27 @@ def test_enable_log_dirty_idempotent(linux_domain):
     linux_domain.vm.memory.write(0x3000, b"x")
     # One observer only: exactly one frame recorded once.
     assert linux_domain.dirty_bitmap.count() == 1
+
+
+def test_second_domain_cannot_take_over_log_dirty(linux_vm):
+    hypervisor = Hypervisor(clock=linux_vm.clock)
+    first = hypervisor.create_domain(linux_vm)
+    second = hypervisor.create_domain(linux_vm)
+    first.enable_log_dirty()
+    with pytest.raises(HypervisorError):
+        second.enable_log_dirty()
+    assert first.log_dirty_enabled and not second.log_dirty_enabled
+    # The loser's disable must not detach the winner's bitmap either.
+    second.disable_log_dirty()
+    linux_vm.memory.write(3 * PAGE_SIZE + 5, b"tracked")
+    assert first.dirty_bitmap.scan_by_words()[0] == [3]
+    assert second.dirty_bitmap.count() == 0
+    # Once the owner lets go, the slot is free for the other domain.
+    first.disable_log_dirty()
+    second.enable_log_dirty()
+    linux_vm.memory.write(7 * PAGE_SIZE, b"now the second")
+    assert second.dirty_bitmap.scan_by_words()[0] == [7]
+    assert first.dirty_bitmap.scan_by_words()[0] == [3]
 
 
 def test_destroy_domain(linux_vm):
