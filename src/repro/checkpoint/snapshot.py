@@ -83,13 +83,6 @@ def _evicted_resolver(checkpoint):
     )
 
 
-def _evicted_resolver(checkpoint):
-    raise CheckpointError(
-        "checkpoint %r was evicted from the history before its image was "
-        "materialized; it can no longer be reconstructed" % (checkpoint,)
-    )
-
-
 class CheckpointHistory:
     """A bounded ring of past checkpoints (newest last), undo-encoded."""
 

@@ -271,7 +271,8 @@ def _cmd_chaos(args):
             "interval_ms": args.interval_ms,
             "metrics": {key: metrics[key] for key in
                         ("epochs_run", "epochs_held", "epochs_shed",
-                         "fault_rollbacks", "health", "packets_released",
+                         "fault_rollbacks", "checkpoints_committed",
+                         "health", "packets_released",
                          "packets_discarded")},
             "faults": faults,
             "safety": safety,

@@ -51,26 +51,42 @@ PHASE_ORDER = ("suspend", "vmi", "bitscan", "map", "copy", "resume")
 
 
 class EpochRecord:
-    """Everything measured about one completed epoch."""
+    """Everything measured about one epoch.
+
+    ``run_epoch`` opens the record when the epoch begins; the checkpoint
+    step fills in the dirty counts and pause phases, the audit its
+    ``detection``, and whichever exit ends the epoch stamps its
+    ``outcome``: ``"committed"``, ``"held"``, ``"attack"`` or
+    ``"rolled-back"``.
+    """
 
     __slots__ = ("epoch", "start_ms", "interval_ms", "phase_ms", "dirty_pages",
-                 "real_dirty", "logdirty_tax_ms", "work_done_ms", "committed",
+                 "real_dirty", "logdirty_tax_ms", "work_done_ms",
                  "detection", "released_packets", "released_disk_writes",
                  "async_verdict", "outcome")
 
-    def __init__(self, **kwargs):
-        for name in self.__slots__:
-            setattr(self, name, kwargs.get(name))
-        if self.outcome is None:
-            self.outcome = "committed" if self.committed else "attack"
+    def __init__(self, epoch, start_ms, interval_ms):
+        self.epoch = epoch
+        self.start_ms = start_ms
+        self.interval_ms = interval_ms
+        self.phase_ms = {}
+        self.dirty_pages = self.real_dirty = 0
+        self.logdirty_tax_ms = self.work_done_ms = 0.0
+        self.released_packets = self.released_disk_writes = 0
+        self.detection = self.async_verdict = self.outcome = None
+
+    @property
+    def committed(self):
+        return self.outcome == "committed"
 
     @property
     def pause_ms(self):
         return sum(self.phase_ms.values())
 
     def __repr__(self):
-        return "EpochRecord(epoch=%d, dirty=%d, pause=%.3fms, outcome=%s)" % (
-            self.epoch, self.dirty_pages, self.pause_ms, self.outcome,
+        return "%s(epoch=%d, dirty=%d, pause=%.3fms, outcome=%s)" % (
+            type(self).__name__, self.epoch, self.dirty_pages, self.pause_ms,
+            self.outcome,
         )
 
 
@@ -298,14 +314,14 @@ class Crimes:
         start_ms = self.clock.now
         tracer = self.observer.tracer
         injector = self.injector
-        epoch_no = self.checkpointer.epoch + 1
+        record = EpochRecord(self.checkpointer.epoch + 1, start_ms, interval)
         self._interval_gauge.set(interval)
         self.observer.journal(
-            "epoch.begin", epoch=epoch_no, interval_ms=interval,
+            "epoch.begin", epoch=record.epoch, interval_ms=interval,
         )
         if injector is not None:
-            injector.begin_epoch(epoch_no)
-        self.buffer.begin_epoch(epoch_no)
+            injector.begin_epoch(record.epoch)
+        self.buffer.begin_epoch(record.epoch)
 
         with tracer.span("epoch") as epoch_span:
             # 1. Speculative execution.
@@ -323,7 +339,7 @@ class Crimes:
                         # the suspend landed.
                         self.clock.advance(skew.magnitude_ms)
                         self.observer.journal(
-                            "fault.observed", epoch=epoch_no,
+                            "fault.observed", epoch=record.epoch,
                             plane=FaultPlane.CLOCK_SKEW.value,
                             skew_ms=skew.magnitude_ms,
                         )
@@ -335,9 +351,11 @@ class Crimes:
                     checkpoint = self.checkpointer.run_checkpoint(
                         interval, synthetic_dirty=synthetic_dirty
                     )
-                    dirty_pages = checkpoint.dirty_pages
-                    logdirty_tax = self.costs.logdirty_running_ms(dirty_pages)
-                    phase_ms = {
+                    dirty_pages = record.dirty_pages = checkpoint.dirty_pages
+                    record.real_dirty = checkpoint.real_dirty
+                    record.logdirty_tax_ms = self.costs.logdirty_running_ms(
+                        dirty_pages)
+                    phase_ms = record.phase_ms = {
                         "suspend": self.costs.suspend_ms(dirty_pages, interval),
                         "bitscan": checkpoint.phase_ms["bitscan"],
                         "map": checkpoint.phase_ms["map"],
@@ -353,13 +371,8 @@ class Crimes:
                     raise
                 # The pipeline could not stage this epoch at all. The
                 # speculated interval is unauditable: undo it.
-                phase_ms = {
-                    "suspend": self.costs.suspend_ms(0, interval),
-                }
-                return self._fault_rollback(
-                    epoch_no, start_ms, interval, phase_ms,
-                    reason="checkpoint-failed", error=err,
-                )
+                record.phase_ms["suspend"] = self.costs.suspend_ms(0, interval)
+                return self._fault_rollback(record, "checkpoint-failed", err)
             epoch_span.annotate(epoch=checkpoint.epoch)
 
             # 4. Audit. An audit that *errors* or *stalls* is as bad as
@@ -446,6 +459,7 @@ class Crimes:
                 else:
                     phase_ms["vmi"] = 0.0
                 audit_span.attribute_ms(phase_ms["vmi"])
+                record.detection = detection
 
             # Overlapped audit: the scan just ran against the staged copy,
             # but in this mode it is modeled on a second core — its cost
@@ -460,15 +474,10 @@ class Crimes:
                 phase_ms["vmi"] = 0.0
 
             if audit_error is not None:
+                timed_out = isinstance(audit_error, AuditTimeoutError)
                 return self._fault_rollback(
-                    checkpoint.epoch, start_ms, interval, phase_ms,
-                    reason=("audit-timeout"
-                            if isinstance(audit_error, AuditTimeoutError)
-                            else "audit-error"),
-                    error=audit_error,
-                    dirty_pages=dirty_pages, real_dirty=checkpoint.real_dirty,
-                    logdirty_tax_ms=logdirty_tax,
-                )
+                    record, "audit-timeout" if timed_out else "audit-error",
+                    audit_error)
 
             attack = detection is not None and detection.attack_detected
             if attack and self.honeypot_active:
@@ -485,19 +494,10 @@ class Crimes:
                 )
 
             if attack:
-                # Charge the pause phases spent before the verdict. The staged
-                # checkpoint is dropped (the backup stays clean) and the
-                # attacked epoch's outputs are destroyed, never released.
+                # Charge the pause phases spent before the verdict, then
+                # destroy the attacked epoch.
                 self.clock.advance(sum(phase_ms.values()))
-                # A deep scan still in flight is scanning a timeline that
-                # just ended; its late verdict must never land.
-                self.async_scanner.cancel(reason="attack")
-                # Deferred releases go down too: nothing unreleased —
-                # including audited-clean predecessors still waiting on
-                # their verdict time — survives an incident.
-                self.overlap.discard(reason="attack")
-                self.checkpointer.abort()
-                dropped_packets, dropped_writes = self.buffer.discard()
+                dropped_packets, dropped_writes = self._destroy_epoch("attack")
                 logger.warning(
                     "%s: AUDIT FAILED at epoch %d — %s; destroyed %d packet(s) "
                     "and %d disk write(s) from the attacked epoch",
@@ -505,17 +505,8 @@ class Crimes:
                     "; ".join(f.summary for f in detection.critical_findings()),
                     dropped_packets, dropped_writes,
                 )
-                record = EpochRecord(
-                    epoch=checkpoint.epoch, start_ms=start_ms, interval_ms=interval,
-                    phase_ms=phase_ms, dirty_pages=dirty_pages,
-                    real_dirty=checkpoint.real_dirty, logdirty_tax_ms=logdirty_tax,
-                    work_done_ms=max(interval - logdirty_tax, 0.0), committed=False,
-                    detection=detection, released_packets=0, released_disk_writes=0,
-                    outcome="attack",
-                )
-                self.records.append(record)
                 self.suspended = True
-                self._observe_epoch(record)
+                self._close_epoch(record, "attack")
                 tracer.event(
                     "epoch.attack", epoch=checkpoint.epoch,
                     dropped_packets=dropped_packets,
@@ -526,13 +517,7 @@ class Crimes:
                 if self.config.auto_respond:
                     with tracer.span("epoch.respond"):
                         self.last_outcome = self.respond(detection, interval)
-                self.observer.journal(
-                    "incident", epoch=checkpoint.epoch,
-                    reason="audit-failed",
-                )
-                self.last_incident = build_incident_bundle(
-                    self, reason="audit-failed", detection=detection,
-                )
+                self._open_incident(record.epoch, "audit-failed", detection)
                 return record
 
             # 5. Commit, release, resume — or hold, if the backup sync or
@@ -566,10 +551,7 @@ class Crimes:
                                      held=hold_reason is not None)
 
             if hold_reason is not None:
-                return self._hold_epoch(
-                    checkpoint, start_ms, interval, phase_ms, logdirty_tax,
-                    detection, hold_reason, sync_ok,
-                )
+                return self._hold_epoch(record, hold_reason, sync_ok)
 
             self.domain.resume()
             self.clock.advance(sum(phase_ms.values()))
@@ -592,29 +574,16 @@ class Crimes:
                 self.health = "healthy"
                 self._held_epochs = 0
 
-            record = EpochRecord(
-                epoch=checkpoint.epoch, start_ms=start_ms, interval_ms=interval,
-                phase_ms=phase_ms, dirty_pages=dirty_pages,
-                real_dirty=checkpoint.real_dirty, logdirty_tax_ms=logdirty_tax,
-                work_done_ms=max(interval - logdirty_tax, 0.0), committed=True,
-                detection=detection, released_packets=packets,
-                released_disk_writes=disk_writes, outcome="committed",
-            )
-            self.records.append(record)
-            self._observe_epoch(record)
-            for program in self.programs:
-                program.on_epoch_end(record)
-            # Snapshot program state only after end-of-epoch bookkeeping, so a
-            # later rollback+replay restores the complete committed state.
-            self._snapshot_program_states()
+            record.released_packets = packets
+            record.released_disk_writes = disk_writes
+            self._close_epoch(record, "committed", snapshot=True)
             record.async_verdict = self._drive_async_scanner(checkpoint.epoch)
         self._emit("epoch", record)
         if record.async_verdict is not None:
             self._emit("async-verdict", record.async_verdict)
         return record
 
-    def _hold_epoch(self, checkpoint, start_ms, interval, phase_ms,
-                    logdirty_tax, detection, reason, sync_ok):
+    def _hold_epoch(self, record, reason, sync_ok):
         """Degraded mode: park an audited-clean epoch instead of failing.
 
         The audit passed but the epoch could not be made durable
@@ -625,14 +594,14 @@ class Crimes:
         consecutive holds exhaust the budget and everything held is shed
         (discarded + rolled back, ``degraded.shed``).
         """
-        epoch = checkpoint.epoch
+        record.outcome = "held"  # a shed below sees it passed its audit
         if self.health != "degraded":
             self.health = "degraded"
-            self.observer.journal("degraded.enter", epoch=epoch,
+            self.observer.journal("degraded.enter", epoch=record.epoch,
                                   reason=reason)
         self._held_epochs += 1
         self.observer.journal(
-            "epoch.held", epoch=epoch, reason=reason,
+            "epoch.held", epoch=record.epoch, reason=reason,
             held=self._held_epochs, limit=self.config.max_hold_epochs,
         )
         if self._held_epochs >= self.config.max_hold_epochs:
@@ -641,38 +610,16 @@ class Crimes:
                 # program-state snapshot so the rollback target is
                 # internally consistent.
                 self._snapshot_program_states()
-            return self._fault_rollback(
-                epoch, start_ms, interval, phase_ms,
-                reason="hold-budget-exhausted", error=None,
-                dirty_pages=checkpoint.dirty_pages,
-                real_dirty=checkpoint.real_dirty,
-                logdirty_tax_ms=logdirty_tax,
-                count_epoch=False,  # run_epoch already counted this epoch
-            )
+            return self._fault_rollback(record, "hold-budget-exhausted")
         self.domain.resume()
-        self.clock.advance(sum(phase_ms.values()))
-        record = EpochRecord(
-            epoch=epoch, start_ms=start_ms, interval_ms=interval,
-            phase_ms=phase_ms, dirty_pages=checkpoint.dirty_pages,
-            real_dirty=checkpoint.real_dirty, logdirty_tax_ms=logdirty_tax,
-            work_done_ms=max(interval - logdirty_tax, 0.0), committed=False,
-            detection=detection, released_packets=0, released_disk_writes=0,
-            outcome="held",
-        )
-        self.records.append(record)
-        self._observe_epoch(record)
-        for program in self.programs:
-            program.on_epoch_end(record)
-        if sync_ok:
-            # The backup did advance (only the sink flush failed), so the
-            # rollback target now includes this epoch's program state.
-            self._snapshot_program_states()
+        self.clock.advance(record.pause_ms)
+        # If the backup did advance (only the sink flush failed), the
+        # rollback target now includes this epoch's program state.
+        self._close_epoch(record, "held", snapshot=sync_ok)
         self._emit("epoch", record)
         return record
 
-    def _fault_rollback(self, epoch, start_ms, interval, phase_ms, reason,
-                        error, dirty_pages=0, real_dirty=0,
-                        logdirty_tax_ms=0.0, count_epoch=True):
+    def _fault_rollback(self, record, reason, error=None):
         """Synchronous rollback of an epoch the framework could not prove.
 
         Used when the checkpoint pipeline failed, the audit errored or
@@ -687,68 +634,89 @@ class Crimes:
                 "cannot roll back %s in ACCOUNTING fidelity" % reason
             )
         self.fault_rollbacks += 1
-        if count_epoch:
-            # Pre-audit call sites return before run_epoch's own
-            # epochs_run increment; the hold path passes False because
-            # its epoch was already counted.
+        if record.outcome is None:
+            # A held epoch passed its audit and was counted there; an
+            # epoch undone before its verdict is counted here.
             self.epochs_run += 1
-        self.async_scanner.cancel(reason=reason)
-        self.overlap.discard(reason=reason)
-        self.checkpointer.abort()
-        dropped_packets, dropped_writes = self.buffer.discard()
+        dropped_packets, dropped_writes = self._destroy_epoch(reason)
         if self._held_epochs:
             # Degraded-mode backlog goes down with the ship: the held
             # outputs were just discarded along with this epoch's.
             self._shed_counter.inc(self._held_epochs)
             self.observer.journal(
-                "degraded.shed", epoch=epoch,
+                "degraded.shed", epoch=record.epoch,
                 epochs_shed=self._held_epochs, reason=reason,
             )
             self.health = "healthy"
             self._held_epochs = 0
-        phase_ms = dict(phase_ms)
-        phase_ms["rollback"] = self.checkpointer.rollback()
+        record.detection = None  # no verdict survives the rollback
+        record.phase_ms["rollback"] = self.checkpointer.rollback()
         for program, state in zip(self.programs, self._clean_program_states):
             program.load_state_dict(thaw_state(state))
         self.domain.resume()
-        self.clock.advance(sum(phase_ms.values()))
+        self.clock.advance(record.pause_ms)
         logger.warning(
             "%s: epoch %d rolled back (%s)%s — destroyed %d packet(s) and "
             "%d disk write(s)",
-            self.vm.name, epoch, reason,
+            self.vm.name, record.epoch, reason,
             ": %s" % error if error is not None else "",
             dropped_packets, dropped_writes,
         )
         self.observer.journal(
-            "epoch.rolled_back", epoch=epoch, reason=reason,
+            "epoch.rolled_back", epoch=record.epoch, reason=reason,
             dropped_packets=dropped_packets,
             dropped_disk_writes=dropped_writes,
         )
-        record = EpochRecord(
-            epoch=epoch, start_ms=start_ms, interval_ms=interval,
-            phase_ms=phase_ms, dirty_pages=dirty_pages,
-            real_dirty=real_dirty, logdirty_tax_ms=logdirty_tax_ms,
-            work_done_ms=0.0, committed=False, detection=None,
-            released_packets=0, released_disk_writes=0,
-            outcome="rolled-back",
-        )
-        self.records.append(record)
-        self._observe_epoch(record)
+        self._close_epoch(record, "rolled-back")
         self._emit("epoch", record)
         return record
 
-    def _observe_epoch(self, record):
-        """Fold one finished epoch into the registry."""
+    def _destroy_epoch(self, reason):
+        """Destroy all the epoch produced; returns the dropped outputs.
+
+        A deep scan still in flight scans a timeline that just ended, so
+        its late verdict must never land; deferred releases — audited-clean
+        predecessors still waiting on their verdict time — go down too.
+        The staged checkpoint is dropped (the backup stays clean) and the
+        buffered ``(packets, disk_writes)`` are discarded, never released.
+        """
+        self.async_scanner.cancel(reason=reason)
+        self.overlap.discard(reason=reason)
+        self.checkpointer.abort()
+        return self.buffer.discard()
+
+    def _close_epoch(self, record, outcome, snapshot=False):
+        """Stamp ``outcome``, keep the record and fold it into the registry.
+
+        Committed and held epochs also end the programs' epoch; only then
+        does ``snapshot`` freeze program state as the rollback target, so
+        a later rollback+replay restores the complete state.
+        """
+        record.outcome = outcome
+        if outcome != "rolled-back":
+            record.work_done_ms = max(
+                record.interval_ms - record.logdirty_tax_ms, 0.0)
+        self.records.append(record)
         for phase, hist in self._pause_hists.items():
             hist.observe(record.phase_ms.get(phase, 0.0))
         self._pause_total_hist.observe(record.pause_ms)
         self._dirty_pages_hist.observe(record.dirty_pages)
-        if record.committed:
+        if outcome == "committed":
             self._committed_counter.inc()
-        elif record.outcome == "held":
-            pass  # tracked by the epoch.held counter instead
-        else:
+        elif outcome != "held":  # held: the epoch.held counter tracks it
             self._rolled_back_counter.inc()
+        if outcome in ("committed", "held"):
+            for program in self.programs:
+                program.on_epoch_end(record)
+            if snapshot:
+                self._snapshot_program_states()
+
+    def _open_incident(self, epoch, reason, detection):
+        """Journal an incident and snapshot its evidence bundle."""
+        self.observer.journal("incident", epoch=epoch, reason=reason)
+        self.last_incident = build_incident_bundle(
+            self, reason=reason, detection=detection, incident_epoch=epoch,
+        )
 
     def _drive_async_scanner(self, epoch):
         """Collect any finished deep scan; start one on the new backup."""
@@ -774,14 +742,9 @@ class Crimes:
                 verdict.detection_lag_ms,
                 "; ".join(f.summary for f in verdict.critical_findings()),
             )
-            self.observer.journal(
-                "incident", epoch=verdict.job.snapshot_epoch,
-                reason="async-scan-failed",
-            )
-            self.last_incident = build_incident_bundle(
-                self, reason="async-scan-failed",
-                detection=self.async_scanner.as_detection_result(verdict),
-                incident_epoch=verdict.job.snapshot_epoch,
+            self._open_incident(
+                verdict.job.snapshot_epoch, "async-scan-failed",
+                self.async_scanner.as_detection_result(verdict),
             )
             return verdict
         if self.async_scanner.busy:
@@ -843,31 +806,24 @@ class Crimes:
 
     # -- summary metrics -----------------------------------------------------------------
 
-    def total_pause_ms(self):
-        return sum(record.pause_ms for record in self.records)
-
-    def mean_pause_ms(self):
+    def _committed_mean(self, value):
         committed = [r for r in self.records if r.committed]
         if not committed:
             return 0.0
-        return sum(r.pause_ms for r in committed) / len(committed)
+        return sum(value(r) for r in committed) / len(committed)
+
+    def mean_pause_ms(self):
+        return self._committed_mean(lambda r: r.pause_ms)
 
     def mean_phase_breakdown(self):
         """Average per-phase cost across committed epochs (Table 1 rows)."""
-        committed = [r for r in self.records if r.committed]
-        if not committed:
-            return {phase: 0.0 for phase in PHASE_ORDER}
         return {
-            phase: sum(r.phase_ms.get(phase, 0.0) for r in committed)
-            / len(committed)
+            phase: self._committed_mean(lambda r: r.phase_ms.get(phase, 0.0))
             for phase in PHASE_ORDER
         }
 
     def mean_dirty_pages(self):
-        committed = [r for r in self.records if r.committed]
-        if not committed:
-            return 0.0
-        return sum(r.dirty_pages for r in committed) / len(committed)
+        return self._committed_mean(lambda r: r.dirty_pages)
 
     def metrics(self):
         """One plain-data snapshot of operational metrics.
@@ -890,13 +846,13 @@ class Crimes:
             "packets_discarded": self.buffer.discarded_packets,
             "disk_writes_released": self.buffer.committed_disk_writes,
             "disk_writes_discarded": self.buffer.discarded_disk_writes,
-            "checkpoints_committed": self.checkpointer.epoch,
+            "checkpoints_committed": self.observer.registry.get(
+                "checkpoint.commits").value,
             "pages_copied_total": self.checkpointer.total_pages_copied,
             "async_jobs_started": self.async_scanner.jobs_started,
             "async_snapshots_skipped": self.async_scanner.snapshots_skipped,
             "async_jobs_cancelled": self.async_scanner.jobs_cancelled,
-            "backup_memory_bytes": self.vm.memory.size
-            if self.config.fidelity is CopyFidelity.FULL else 0,
+            "backup_memory_bytes": self.checkpointer.retained_bytes(),
             "health": self.health,
             "epochs_held": self.epochs_held,
             "epochs_shed": self.epochs_shed,

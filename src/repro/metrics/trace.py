@@ -13,7 +13,10 @@ _PAUSE_CHAR = "#"
 def render_epoch_trace(records, width=64):
     """One line per epoch: proportional speculate/pause bars + verdict.
 
-    ``width`` columns represent the longest epoch's (interval + pause).
+    The verdict follows the record's outcome: ``pass`` (with what the
+    commit released), ``held``, ``rolled back``, or ``FAIL: <kinds>``
+    for an attack. ``width`` columns represent the longest epoch's
+    (interval + pause).
     """
     if not records:
         return "(no epochs)"
@@ -27,18 +30,21 @@ def render_epoch_trace(records, width=64):
         pause_cols = max(int(record.pause_ms / scale * width), 1)
         bar = (_SPECULATE_CHAR * speculate_cols
                + _PAUSE_CHAR * pause_cols).ljust(width + 2)
-        if record.committed:
+        if record.outcome == "committed":
             verdict = "pass"
             if record.released_packets or record.released_disk_writes:
                 verdict += " (released %dp/%dw)" % (
                     record.released_packets, record.released_disk_writes,
                 )
+        elif record.outcome == "held":
+            verdict = "held"
+        elif record.outcome == "rolled-back":
+            verdict = "rolled back"
         else:
-            kinds = ", ".join(
+            verdict = "FAIL: %s" % ", ".join(
                 sorted({finding.kind for finding in
                         record.detection.critical_findings()})
-            ) if record.detection else "unknown"
-            verdict = "FAIL: %s" % kinds
+            )
         lines.append("%5d  %s %s" % (record.epoch, bar, verdict))
     return "\n".join(lines)
 

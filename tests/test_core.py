@@ -195,3 +195,46 @@ class TestEpochLoop:
         crimes.start()
         crimes.run(max_epochs=3)
         assert not crimes.suspended  # scans disabled: attack sails through
+
+
+class TestMetricsAccounting:
+    def test_checkpoints_committed_counts_commits_only(self):
+        # An audit that times out from epoch 3 on rolls every later epoch
+        # back: six checkpoints are staged, only the first two commit.
+        from repro.faults import FaultPlan, FaultPlane, FaultSchedule
+        from repro.faults.chaos import run_chaos
+
+        plan = FaultPlan.single(FaultPlane.AUDIT_TIMEOUT,
+                                FaultSchedule.persistent(start_epoch=3),
+                                seed=1)
+        result = run_chaos(fault_plan=plan, seed=1, epochs=6)
+        crimes = result["crimes"]
+        assert crimes.checkpointer.epoch == 6
+        assert result["metrics"]["checkpoints_committed"] == 2
+        assert len(crimes.observer.flight.events(kind="epoch.commit")) == 2
+
+    @pytest.mark.parametrize("shared_store", [False, True])
+    def test_backup_memory_is_what_the_checkpointer_retains(self,
+                                                            shared_store):
+        # The same definition CloudHost.memory_overhead_bytes() sums: a
+        # flat tenant retains its backup image plus its history's undo
+        # pages; a store-backed tenant's pages are counted by the store.
+        from repro.checkpoint.store import PageStore
+        from repro.core.cloud import CloudHost
+        from repro.workloads.kvstore import KeyValueStoreProgram
+
+        host = CloudHost(store=PageStore() if shared_store else None)
+        crimes = host.admit(
+            LinuxGuest(name="retained", memory_bytes=2 * 1024 * 1024,
+                       seed=3),
+            CrimesConfig(epoch_interval_ms=20.0, seed=3, history_capacity=4),
+            programs=[KeyValueStoreProgram(seed=3)],
+        )
+        host.run(rounds=5)
+        retained = crimes.checkpointer.retained_bytes()
+        assert crimes.metrics()["backup_memory_bytes"] == retained
+        if shared_store:
+            assert retained == 0
+        else:
+            assert retained > crimes.vm.memory.size
+            assert retained == host.memory_overhead_bytes()

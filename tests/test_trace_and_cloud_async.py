@@ -6,6 +6,8 @@ from repro.core.config import CrimesConfig
 from repro.core.crimes import Crimes
 from repro.detectors.canary import CanaryScanModule
 from repro.detectors.deep import HiddenProcessDeepScan, SignatureSweepModule
+from repro.faults import FaultPlan, FaultPlane, FaultSchedule
+from repro.faults.chaos import run_chaos
 from repro.forensics.dumps import MemoryDump
 from repro.guest.linux import LinuxGuest
 from repro.guest.windows import WindowsGuest
@@ -38,6 +40,35 @@ class TestEpochTrace:
 
     def test_trace_empty(self):
         assert render_epoch_trace([]) == "(no epochs)"
+
+    @staticmethod
+    def _verdicts(trace):
+        return [line.split(None, 2)[2] for line in trace.splitlines()[1:]]
+
+    def test_trace_labels_held_epoch_as_held(self):
+        # The backup sync fails at epoch 3 only: that audited-clean epoch
+        # is held, and epoch 4's commit releases both epochs' outputs.
+        plan = FaultPlan.single(
+            FaultPlane.BACKUP_SYNC,
+            FaultSchedule.burst(start_epoch=3, duration=1, fail_attempts=5),
+            seed=1)
+        crimes = run_chaos(fault_plan=plan, seed=1, epochs=5)["crimes"]
+        records = crimes.records
+        assert [record.outcome for record in records][2] == "held"
+        verdicts = self._verdicts(render_epoch_trace(records))
+        assert verdicts[2] == "held"
+        assert verdicts[3] == "pass (released 16p/8w)"
+        assert not any(verdict.startswith("FAIL") for verdict in verdicts)
+
+    def test_trace_labels_fault_rollback_as_rolled_back(self):
+        plan = FaultPlan.single(FaultPlane.AUDIT_TIMEOUT,
+                                FaultSchedule.persistent(start_epoch=3),
+                                seed=1)
+        crimes = run_chaos(fault_plan=plan, seed=1, epochs=6)["crimes"]
+        records = crimes.records
+        verdicts = self._verdicts(render_epoch_trace(records))
+        assert verdicts[2:] == ["rolled back"] * 4
+        assert all(verdict.startswith("pass") for verdict in verdicts[:2])
 
     def test_phase_bars_sum_to_100_percent(self):
         records = self._records()
