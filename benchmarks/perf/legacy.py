@@ -173,8 +173,8 @@ from repro.errors import IntrospectionError  # noqa: E402
 from repro.guest.heap import CANARY_ENTRY, CANARY_TABLE_HEADER, \
     CANARY_TABLE_MAGIC  # noqa: E402
 from repro.guest.layout import cstring  # noqa: E402
-from repro.vmi.libvmi import VMIInstance, ProcessInfo, \
-    _MAX_LIST_LENGTH  # noqa: E402
+from repro.vmi.libvmi import VMIInstance, ProcessInfo  # noqa: E402
+from repro.vmi.walk import MAX_NODES  # noqa: E402
 
 
 def decode_scalar(layout, data, base=0):
@@ -229,7 +229,7 @@ class LegacyVMIInstance(VMIInstance):
         head_va = self.lookup_symbol(self.profile.root_symbol("process_list"))
         processes = []
         current = head_va
-        for _ in range(_MAX_LIST_LENGTH):
+        for _ in range(MAX_NODES):
             record = decode_scalar(layout, self.read_va(current, layout.size))
             self._charge_us(self.costs.PER_PROCESS_US)
             processes.append(

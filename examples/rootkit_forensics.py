@@ -3,10 +3,12 @@
 
 A rootkit program loads a kernel module, hijacks a syscall-table slot,
 and hides a worker process by unlinking it from the task list. Three
-unaided scan modules each catch a different piece of the attack, and the
-post-detection forensics cross-views (pslist vs pid_hash vs slab scan)
-expose the hidden worker — the evidence-based approach of §2 applied to
-the OS layer.
+unaided scan modules each catch a different piece of the attack. Under
+the default configuration the failed audit rolls the VM back and the
+Analyzer writes the forensic report: the hijacked slot, the module that
+appeared, and the psxview cross-view (pslist vs pid_hash vs slab scan)
+that exposes the hidden worker — the evidence-based approach of §2
+applied to the OS layer.
 
 Run:  python examples/rootkit_forensics.py
 """
@@ -17,7 +19,6 @@ from repro.detectors import (
     MalwareScanModule,
     SyscallTableModule,
 )
-from repro.forensics.dumps import MemoryDump
 from repro.forensics.volatility import VolatilityFramework
 from repro.workloads import RootkitProgram
 
@@ -31,8 +32,7 @@ def main():
 
     crimes = Crimes(
         vm,
-        CrimesConfig(epoch_interval_ms=50.0, seed=13, auto_respond=False,
-                     history_capacity=6),
+        CrimesConfig(epoch_interval_ms=50.0, seed=13, history_capacity=6),
     )
     crimes.install_module(SyscallTableModule())
     crimes.install_module(KernelModuleModule())
@@ -48,25 +48,8 @@ def main():
     for finding in detection.critical_findings():
         print("  [%s] %s" % (finding.module, finding.summary))
 
-    # Manual forensics on the suspended VM (auto_respond was off).
-    print("\n--- cross-view process analysis (linux_psxview) ---")
-    dump = MemoryDump.from_vm(vm, label="post-detection")
-    volatility = VolatilityFramework(seed=13)
-    for row in volatility.run("linux_psxview", dump):
-        flag = "  <-- HIDDEN" if row["suspicious"] else ""
-        print(
-            "  %-16s pid=%-4d pslist=%-5s pid_hash=%-5s slab=%s%s"
-            % (row["name"], row["pid"], row["in_pslist"],
-               row["in_pid_hash"], row["in_kmem_cache"], flag)
-        )
-
-    print("\n--- loaded kernel modules (linux_lsmod) ---")
-    for row in volatility.run("linux_lsmod", dump):
-        print("  %-16s base=0x%x size=0x%x"
-              % (row["name"], row["base"], row["size"]))
-
-    print("\nvolatility time charged: %.1f s"
-          % (volatility.take_cost_ms() / 1000.0))
+    print()
+    print(crimes.last_outcome.report.render())
 
     # Second scenario: the same rootkit on an *unmonitored* VM runs for
     # a while before anyone notices. The checkpoint history lets the
@@ -83,6 +66,7 @@ def main():
     stealthy.start()
     stealthy.run(max_epochs=8)  # no scan modules: nothing fires
 
+    volatility = VolatilityFramework(seed=13)
     investigator = TimeTravelInvestigator(
         stealth_vm, stealthy.checkpointer.history
     )

@@ -108,17 +108,10 @@ class Analyzer:
         # Stage 2: post-mortem.
         self.clock.advance(self.PROCESS_DUMP_MS)
         timeline.mark("process memory dumped")
-        if vm.os_name == "linux" and finding.kind in (
-            "buffer-overflow", "use-after-free", "table-corrupt"
-        ):
-            report = self.postmortem.overflow_report(
-                dump_clean, dump_detected, finding,
-                pinpoint=pinpoint, dump_at_attack=dump_at_attack,
-            )
-        else:
-            report = self.postmortem.malware_report(
-                dump_clean, dump_detected, finding
-            )
+        report = self.postmortem.report(
+            dump_clean, dump_detected, finding,
+            pinpoint=pinpoint, dump_at_attack=dump_at_attack,
+        )
         self.clock.advance(self.postmortem.take_cost_ms())
         timeline.mark("forensic report complete")
 

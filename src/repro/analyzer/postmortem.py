@@ -9,6 +9,11 @@ Reproduces the two case studies' automated analyses:
   ``handles`` between the clean and detected dumps, and run
   ``psscan``/``psxview`` for hidden-process evidence, rendering the same
   report sections the paper prints.
+
+Every other finding (kernel tables, modules, hidden Linux processes,
+connections, a corrupt canary table) gets :meth:`PostMortem.integrity_report`;
+:meth:`PostMortem.report` picks the report from what the finding
+carries.
 """
 
 from repro.forensics.dumps import diff_rows
@@ -50,6 +55,13 @@ class SecurityReport:
         }
 
 
+def _format_detail(value):
+    """One finding detail for a report: addresses in hex."""
+    if isinstance(value, int) and value >= 0x10000:
+        return "0x%x" % value
+    return str(value)
+
+
 def _format_table(rows, columns):
     """Fixed-width text table from dict rows (report rendering helper)."""
     if not rows:
@@ -77,6 +89,66 @@ class PostMortem:
 
     def take_cost_ms(self):
         return self.volatility.take_cost_ms()
+
+    def report(self, dump_clean, dump_detected, finding, pinpoint=None,
+               dump_at_attack=None):
+        """The report for ``finding``, chosen by what it carries: an
+        overflowed object, a Windows process, or anything else."""
+        details = finding.details
+        if "object_addr" in details:
+            return self.overflow_report(
+                dump_clean, dump_detected, finding,
+                pinpoint=pinpoint, dump_at_attack=dump_at_attack,
+            )
+        if dump_detected.os_name == "windows" \
+                and "pid" in details and "name" in details:
+            return self.malware_report(dump_clean, dump_detected, finding)
+        return self.integrity_report(dump_clean, dump_detected, finding)
+
+    def _new_sockets(self, report, heading, dump_clean, dump_detected):
+        """Section + artifact: TCP endpoints absent from the clean dump."""
+        plugin = ("netscan" if dump_detected.os_name == "windows"
+                  else "linux_netstat")
+        sockets_before = self.volatility.run(plugin, dump_clean)
+        sockets_after = self.volatility.run(plugin, dump_detected)
+        new_sockets, _closed = diff_rows(
+            sockets_before, sockets_after,
+            key=lambda row: (row["owner_pid"], row["local"], row["remote"]),
+        )
+        report.add_section(
+            heading,
+            _format_table(
+                [
+                    {
+                        "Protocol": row["protocol"],
+                        "Local Address": row["local"],
+                        "Foreign Address": row["remote"],
+                        "State": row["state"],
+                    }
+                    for row in new_sockets
+                ],
+                ["Protocol", "Local Address", "Foreign Address", "State"],
+            ),
+        )
+        report.add_artifact("new_sockets", new_sockets)
+
+    def _hidden_processes(self, report, heading, dump):
+        """Section + artifact: the psxview rows flagged suspicious."""
+        if dump.os_name == "windows":
+            plugin, views = "psxview", ["in_pslist", "in_psscan"]
+        else:
+            plugin, views = "linux_psxview", ["in_pslist", "in_pid_hash"]
+        hidden = [row for row in self.volatility.run(plugin, dump)
+                  if row["suspicious"]]
+        columns = ["name", "pid"] + views
+        report.add_section(
+            heading,
+            _format_table([{column: row[column] for column in columns}
+                           for row in hidden], columns)
+            if hidden
+            else "no hidden processes",
+        )
+        report.add_artifact("hidden_processes", hidden)
 
     # -- §5.5: buffer overflow ------------------------------------------------
 
@@ -145,28 +217,8 @@ class PostMortem:
             )
             report.add_artifact("pinpoint", pinpoint)
 
-        sockets_before = self.volatility.run("linux_netstat", dump_clean)
-        sockets_after = self.volatility.run("linux_netstat", dump_detected)
-        new_sockets, _closed = diff_rows(
-            sockets_before, sockets_after,
-            key=lambda row: (row["owner_pid"], row["local"], row["remote"]),
-        )
-        report.add_section(
-            "Connections opened during the attacked epoch",
-            _format_table(
-                [
-                    {
-                        "Protocol": row["protocol"],
-                        "Local Address": row["local"],
-                        "Foreign Address": row["remote"],
-                        "State": row["state"],
-                    }
-                    for row in new_sockets
-                ],
-                ["Protocol", "Local Address", "Foreign Address", "State"],
-            ),
-        )
-        report.add_artifact("new_sockets", new_sockets)
+        self._new_sockets(report, "Connections opened during the attacked "
+                          "epoch", dump_clean, dump_detected)
 
         files_before = self.volatility.run("linux_lsof", dump_clean)
         files_after = self.volatility.run("linux_lsof", dump_detected)
@@ -230,28 +282,8 @@ class PostMortem:
             % (extracted[0]["name"], pid, extracted[0]["artifact_size"]),
         )
 
-        sockets_before = self.volatility.run("netscan", dump_clean)
-        sockets_after = self.volatility.run("netscan", dump_detected)
-        new_sockets, _closed = diff_rows(
-            sockets_before, sockets_after,
-            key=lambda row: (row["owner_pid"], row["local"], row["remote"]),
-        )
-        report.add_section(
-            "Open Sockets (new since last clean checkpoint)",
-            _format_table(
-                [
-                    {
-                        "Protocol": row["protocol"],
-                        "Local Address": row["local"],
-                        "Foreign Address": row["remote"],
-                        "State": row["state"],
-                    }
-                    for row in new_sockets
-                ],
-                ["Protocol", "Local Address", "Foreign Address", "State"],
-            ),
-        )
-        report.add_artifact("new_sockets", new_sockets)
+        self._new_sockets(report, "Open Sockets (new since last clean "
+                          "checkpoint)", dump_clean, dump_detected)
 
         handles_before = self.volatility.run("handles", dump_clean)
         handles_after = self.volatility.run("handles", dump_detected)
@@ -265,24 +297,60 @@ class PostMortem:
         )
         report.add_artifact("new_handles", new_handles)
 
-        crossview = self.volatility.run("psxview", dump_detected)
-        hidden = [row for row in crossview if row["suspicious"]]
-        report.add_section(
-            "psscan/psxview hidden-process check",
-            _format_table(
-                [
-                    {
-                        "name": row["name"],
-                        "pid": row["pid"],
-                        "in_pslist": row["in_pslist"],
-                        "in_psscan": row["in_psscan"],
-                    }
-                    for row in hidden
-                ],
-                ["name", "pid", "in_pslist", "in_psscan"],
-            )
-            if hidden
-            else "no hidden processes",
+        self._hidden_processes(report, "psscan/psxview hidden-process check",
+                               dump_detected)
+        return report
+
+    # -- everything else: kernel and process integrity ------------------------
+
+    def integrity_report(self, dump_clean, dump_detected, finding):
+        """Forensics for a finding with no overflowed object and no
+        Windows process: a hijacked kernel table, an unknown module, a
+        hidden Linux process, a forbidden connection, a corrupt canary
+        table. Reports the finding, the psxview cross-view and the new
+        sockets; on Linux also the module-list delta and the syscall
+        slots that changed since the clean checkpoint."""
+        report = SecurityReport("CRIMES Security Report - %s" % (
+            finding.kind.replace("-", " ").title()))
+        report.add_section("Finding", "\n".join(
+            [finding.summary]
+            + ["%s: %s" % (key, _format_detail(value))
+               for key, value in sorted(finding.details.items())]))
+        self._hidden_processes(report, "psxview hidden-process check",
+                               dump_detected)
+        self._new_sockets(report, "Connections opened during the attacked "
+                          "epoch", dump_clean, dump_detected)
+        if dump_detected.os_name != "linux":
+            return report
+
+        loaded, unloaded = diff_rows(
+            self.volatility.run("linux_lsmod", dump_clean),
+            self.volatility.run("linux_lsmod", dump_detected),
+            key=lambda row: (row["name"], row["base"]),
         )
-        report.add_artifact("hidden_processes", hidden)
+        report.add_section(
+            "Kernel-module delta across the attacked epoch",
+            "loaded:   %s\nunloaded: %s" % tuple(
+                ", ".join("%s@0x%x" % (row["name"], row["base"])
+                          for row in rows) or "-"
+                for rows in (loaded, unloaded)),
+        )
+        report.add_artifact("loaded_modules", loaded)
+
+        reference = [row["address"] for row in
+                     self.volatility.run("linux_check_syscall", dump_clean)]
+        changed = [row for row in self.volatility.run(
+            "linux_check_syscall", dump_detected, reference=reference)
+            if row["hijacked"]]
+        report.add_section(
+            "System-call slots changed during the attacked epoch",
+            _format_table(
+                [{"slot": row["index"],
+                  "clean": "0x%x" % reference[row["index"]],
+                  "detected": "0x%x" % row["address"]}
+                 for row in changed],
+                ["slot", "clean", "detected"],
+            ),
+        )
+        report.add_artifact("changed_syscalls", changed)
         return report

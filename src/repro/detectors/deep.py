@@ -18,6 +18,7 @@ weakened guarantee the paper trades for keeping the pause small.
 import re
 
 from repro.detectors.base import Finding, ScanModule, Severity
+from repro.errors import ForensicsError, GuestFault
 from repro.forensics.dumps import MemoryDump
 from repro.forensics.volatility import VolatilityFramework
 
@@ -84,7 +85,18 @@ class HiddenProcessDeepScan(DeepScanModule):
         )
 
     def scan(self, dump):
-        rows = self.volatility.run(self._plugin_for(dump), dump)
+        try:
+            rows = self.volatility.run(self._plugin_for(dump), dump)
+        except (ForensicsError, GuestFault) as err:
+            # The process structures are guest memory too: a list or slab
+            # the sweep cannot parse is tampering, and must not read as a
+            # clean checkpoint.
+            self.volatility.take_cost_ms()
+            return [Finding(
+                self.name, "corrupt-process-structures", Severity.CRITICAL,
+                "checkpoint scan: process structures unreadable (%s)" % err,
+                {"error": str(err)},
+            )]
         self.volatility.take_cost_ms()  # cost already modeled via cost_ms
         findings = []
         for row in rows:

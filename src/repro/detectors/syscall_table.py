@@ -8,8 +8,6 @@ kernel pointer table at install time, flag any slot that changes.
 instantiations — each a classic rootkit persistence point.
 """
 
-import struct
-
 from repro.detectors.base import Finding, ScanModule, Severity
 
 
@@ -25,20 +23,16 @@ class TableIntegrityModule(ScanModule):
     def __init__(self):
         self._reference = None
 
-    def _read_table(self, vmi):
-        table_va = vmi.lookup_symbol(self.table_symbol)
-        raw = vmi.read_va(table_va, self.entry_count * 8)
-        vmi._charge_us(vmi.costs.PER_SYSCALL_US * self.entry_count)
-        return list(struct.unpack("<%dQ" % self.entry_count, raw))
-
     def setup(self, vmi):
-        self._reference = self._read_table(vmi)
+        self._reference = vmi.read_pointer_table(self.table_symbol,
+                                                 self.entry_count)
 
     def scan(self, context):
         if self._reference is None:
             self.setup(context.vmi)
             return []
-        current = self._read_table(context.vmi)
+        current = context.vmi.read_pointer_table(self.table_symbol,
+                                                 self.entry_count)
         findings = []
         for index, (expected, observed) in enumerate(
             zip(self._reference, current)

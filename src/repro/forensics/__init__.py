@@ -6,6 +6,12 @@ primary VM, the backup checkpoint, or the replay point — with a plugin
 battery (pslist/psscan/psxview/netscan/handles/...). It is deliberately
 priced like Volatility: ~2.5 s initialization and ~500 ms per scan, which
 is why CRIMES only invokes it after an attack is detected.
+
+A plugin does not parse kernel lists itself: it drives the walkers of
+:mod:`repro.vmi.walk` over a :class:`MemoryDump` — the ones live
+introspection drives over the running guest — and turns their records
+into rows. Only the pricing differs: live VMI charges per read, the
+framework per plugin run.
 """
 
 from repro.forensics.dumps import MemoryDump, diff_rows

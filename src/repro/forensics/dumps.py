@@ -13,7 +13,16 @@ from repro.guest.pagetable import KERNEL_BASE, kernel_pa
 
 
 class MemoryDump:
-    """One captured RAM image plus the metadata needed to interpret it."""
+    """One captured RAM image plus the metadata needed to interpret it.
+
+    A dump is an address space for the walkers of :mod:`repro.vmi.walk`,
+    like a live VMI instance, but reads are free (Volatility prices a
+    whole plugin run instead) and a walker's checks raise
+    :class:`ForensicsError`.
+    """
+
+    #: The error a walker raises for malformed guest memory.
+    error = ForensicsError
 
     def __init__(self, image, os_name, symbols, guest_state, taken_at=0.0,
                  label=""):
@@ -60,7 +69,7 @@ class MemoryDump:
     def size(self):
         return len(self.image)
 
-    def read(self, paddr, length):
+    def read_pa(self, paddr, length):
         if paddr < 0 or paddr + length > len(self.image):
             raise ForensicsError(
                 "dump read [0x%x, +%d) outside %d-byte image"
@@ -101,9 +110,20 @@ class MemoryDump:
             paddr = self.translate(vaddr + offset, pid)
             room = PAGE_SIZE - (paddr % PAGE_SIZE)
             chunk = min(room, length - offset)
-            parts.append(self.read(paddr, chunk))
+            parts.append(self.read_pa(paddr, chunk))
             offset += chunk
         return b"".join(parts)
+
+    def pool_regions(self):
+        """A dump's pool sweep covers its whole image, uncopied."""
+        yield 0, self.image
+
+    def abort_walk(self, what, node_va, nodes, reason):
+        """A walk over the image did not terminate cleanly."""
+        raise ForensicsError(
+            "corrupt %s list in dump: does not terminate (%s at 0x%x after "
+            "%d nodes)" % (what, reason, node_va, nodes)
+        )
 
     def process_pids(self):
         """Pids whose user address spaces this dump can translate."""

@@ -1,23 +1,12 @@
 """Linux forensics plugins (the §5.5 buffer-overflow case-study battery)."""
 
-import struct
-
 from repro.errors import ForensicsError
+from repro.forensics.plugins import socket_row
 from repro.forensics.volatility import plugin
 from repro.guest.layout import cstring
-from repro.guest.linux import (
-    KMEM_CACHE,
-    MM_STRUCT,
-    MODULE,
-    SYSCALL_COUNT,
-    TASK_MAGIC,
-    TASK_STRUCT,
-    VM_AREA,
-)
+from repro.guest.linux import FLAG_SLAB_IN_USE, SYSCALL_COUNT
 from repro.guest.memory import PAGE_SIZE
-from repro.guest.pagetable import kernel_pa, kernel_va
-
-_MAX_PID = 1 << 20
+from repro.vmi import walk
 
 
 def _require_linux(dump):
@@ -25,15 +14,15 @@ def _require_linux(dump):
         raise ForensicsError("plugin requires a Linux memory dump")
 
 
-def _task_row(record, source_va):
+def _task_row(task_va, record):
     return {
         "pid": record["pid"],
         "uid": record["uid"],
         "name": cstring(record["comm"]),
         "state": record["state"],
         "start_time": record["start_time"],
-        "task_va": source_va,
-        "in_use": bool(record["flags"] & 0x1),
+        "task_va": task_va,
+        "in_use": bool(record["flags"] & FLAG_SLAB_IN_USE),
     }
 
 
@@ -41,61 +30,21 @@ def _task_row(record, source_va):
 def linux_pslist(dump):
     """Walk init_task's circular task list."""
     _require_linux(dump)
-    head_va = dump.lookup_symbol("init_task")
-    rows = []
-    current = head_va
-    seen = set()
-    while True:
-        if current in seen:
-            raise ForensicsError("corrupt task list in dump")
-        seen.add(current)
-        record = TASK_STRUCT.decode(dump.read(kernel_pa(current), TASK_STRUCT.size))
-        rows.append(_task_row(record, current))
-        current = record["tasks_next"]
-        if current == head_va:
-            return rows
-        if current == 0:
-            raise ForensicsError("task list broken: NULL tasks_next")
+    return [_task_row(va, record) for va, record in walk.task_list(dump)]
 
 
 @plugin("linux_psscan", pool_scan=True)
 def linux_psscan(dump):
     """Sweep the task_struct slab for TASK magics (finds ghosts)."""
     _require_linux(dump)
-    cache_va = dump.lookup_symbol("kmem_cache_task")
-    cache = KMEM_CACHE.decode(dump.read(kernel_pa(cache_va), KMEM_CACHE.size))
-    base = kernel_pa(cache["base"])
-    rows = []
-    for slot in range(cache["slot_count"]):
-        slot_pa = base + slot * cache["slot_size"]
-        magic = struct.unpack("<I", dump.read(slot_pa, 4))[0]
-        if magic != TASK_MAGIC:
-            continue
-        record = TASK_STRUCT.decode(dump.read(slot_pa, TASK_STRUCT.size))
-        if record["pid"] < _MAX_PID:
-            rows.append(_task_row(record, kernel_va(slot_pa)))
-    return rows
+    return [_task_row(va, record) for va, record in walk.task_slab(dump)]
 
 
 @plugin("linux_pidhashtable")
 def linux_pidhashtable(dump):
     """Walk every pid-hash chain (second live view)."""
     _require_linux(dump)
-    hash_pa = kernel_pa(dump.lookup_symbol("pid_hash"))
-    rows = []
-    for bucket in range(64):
-        current = struct.unpack("<Q", dump.read(hash_pa + bucket * 8, 8))[0]
-        hops = 0
-        while current:
-            record = TASK_STRUCT.decode(
-                dump.read(kernel_pa(current), TASK_STRUCT.size)
-            )
-            rows.append(_task_row(record, current))
-            current = record["pid_chain"]
-            hops += 1
-            if hops > 65536:
-                raise ForensicsError("pid hash chain does not terminate")
-    return rows
+    return [_task_row(va, record) for va, record in walk.pid_hash(dump)]
 
 
 @plugin("linux_psxview", pool_scan=True)
@@ -128,33 +77,18 @@ def linux_psxview(dump):
 def linux_lsmod(dump):
     """Walk the kernel module list."""
     _require_linux(dump)
-    head_pa = kernel_pa(dump.lookup_symbol("modules"))
-    current = struct.unpack("<Q", dump.read(head_pa, 8))[0]
-    rows = []
-    while current:
-        record = MODULE.decode(dump.read(kernel_pa(current), MODULE.size))
-        rows.append(
-            {
-                "name": cstring(record["name"]),
-                "base": record["base"],
-                "size": record["size"],
-            }
-        )
-        current = record["next"]
-        if len(rows) > 65536:
-            raise ForensicsError("module list does not terminate")
-    return rows
+    return [{"name": cstring(record["name"]), "base": record["base"],
+             "size": record["size"]}
+            for _va, record in walk.module_list(dump)]
 
 
 @plugin("linux_check_syscall")
 def linux_check_syscall(dump, reference=None):
     """Report syscall-table entries (flagging mismatches vs a reference)."""
     _require_linux(dump)
-    table_pa = kernel_pa(dump.lookup_symbol("sys_call_table"))
-    raw = dump.read(table_pa, SYSCALL_COUNT * 8)
-    entries = struct.unpack("<%dQ" % SYSCALL_COUNT, raw)
     rows = []
-    for index, address in enumerate(entries):
+    for index, address in enumerate(
+            walk.pointer_table(dump, "sys_call_table", SYSCALL_COUNT)):
         row = {"index": index, "address": address}
         if reference is not None:
             row["hijacked"] = address != reference[index]
@@ -166,31 +100,16 @@ def linux_check_syscall(dump, reference=None):
 def linux_proc_maps(dump, pid):
     """List a process's memory regions (VMAs) from its mm_struct."""
     _require_linux(dump)
-    for row in linux_pslist(dump):
-        if row["pid"] != pid:
+    # The whole list is walked first: a corrupt list fails the plugin
+    # even when the pid comes before the corruption.
+    for _va, record in list(walk.task_list(dump)):
+        if record["pid"] != pid:
             continue
-        record = TASK_STRUCT.decode(
-            dump.read(kernel_pa(row["task_va"]), TASK_STRUCT.size)
-        )
         if record["mm"] == 0:
             return []
-        mm = MM_STRUCT.decode(dump.read(kernel_pa(record["mm"]), MM_STRUCT.size))
-        vma_pa = kernel_pa(mm["vma_array"])
-        rows = []
-        for index in range(mm["vma_count"]):
-            vma = VM_AREA.decode(
-                dump.read(vma_pa + index * VM_AREA.size, VM_AREA.size)
-            )
-            rows.append(
-                {
-                    "pid": pid,
-                    "start": vma["start"],
-                    "end": vma["end"],
-                    "flags": vma["flags"],
-                    "name": cstring(vma["name"]),
-                }
-            )
-        return rows
+        return [{"pid": pid, "start": vma["start"], "end": vma["end"],
+                 "flags": vma["flags"], "name": cstring(vma["name"])}
+                for _va, vma in walk.vm_areas(dump, record["mm"])]
     raise ForensicsError("linux_proc_maps: no process with pid %d" % pid)
 
 
@@ -198,64 +117,18 @@ def linux_proc_maps(dump, pid):
 def linux_lsof(dump, pid=None):
     """Walk the kernel's open-file chain (optionally filtered by pid)."""
     _require_linux(dump)
-    from repro.guest.linux import FILE_MAGIC, FILE_OBJECT
-
-    head_pa = kernel_pa(dump.lookup_symbol("file_table"))
-    current = struct.unpack("<Q", dump.read(head_pa, 8))[0]
-    rows = []
-    hops = 0
-    while current:
-        record = FILE_OBJECT.decode(
-            dump.read(kernel_pa(current), FILE_OBJECT.size)
-        )
-        if record["magic"] != FILE_MAGIC:
-            raise ForensicsError("corrupt file object at 0x%x" % current)
-        if pid is None or record["pid"] == pid:
-            rows.append(
-                {
-                    "pid": record["pid"],
-                    "path": cstring(record["path"]),
-                    "file_va": current,
-                }
-            )
-        current = record["next"]
-        hops += 1
-        if hops > 65536:
-            raise ForensicsError("file table does not terminate")
-    return rows
+    return [{"pid": record["pid"], "path": cstring(record["path"]),
+             "file_va": va}
+            for va, record in walk.file_list(dump)
+            if pid is None or record["pid"] == pid]
 
 
 @plugin("linux_netstat")
 def linux_netstat(dump):
     """Walk the kernel's TCP socket list."""
     _require_linux(dump)
-    from repro.guest.linux import SOCKET, SOCKET_MAGIC
-    from repro.guest.net import TCP_STATE_NAMES, bytes_to_ip
-
-    head_pa = kernel_pa(dump.lookup_symbol("tcp_sockets"))
-    current = struct.unpack("<Q", dump.read(head_pa, 8))[0]
-    rows = []
-    while current:
-        record = SOCKET.decode(dump.read(kernel_pa(current), SOCKET.size))
-        if record["magic"] != SOCKET_MAGIC:
-            raise ForensicsError("corrupt socket object at 0x%x" % current)
-        rows.append(
-            {
-                "protocol": "TCPv4",
-                "owner_pid": record["pid"],
-                "local": "%s:%d" % (bytes_to_ip(record["local_ip"]),
-                                    record["local_port"]),
-                "remote": "%s:%d" % (bytes_to_ip(record["remote_ip"]),
-                                     record["remote_port"]),
-                "state": TCP_STATE_NAMES.get(
-                    record["state"], "UNKNOWN(%d)" % record["state"]
-                ),
-            }
-        )
-        current = record["next"]
-        if len(rows) > 65536:
-            raise ForensicsError("socket list does not terminate")
-    return rows
+    return [socket_row(record, record["pid"])
+            for _va, record in walk.socket_list(dump)]
 
 
 #: Injected-payload signatures linux_malfind sweeps process memory for.

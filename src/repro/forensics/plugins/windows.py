@@ -1,28 +1,20 @@
 """Windows forensics plugins (the §5.6 malware case-study battery)."""
 
-import struct
-
 from repro.errors import ForensicsError
+from repro.forensics.plugins import socket_row
 from repro.forensics.volatility import plugin
 from repro.guest.layout import cstring
-from repro.guest.pagetable import kernel_pa, kernel_va
 from repro.guest.windows import (
     EPROCESS,
     FILE_OBJECT,
-    HANDLE_TABLE,
-    HANDLE_TABLE_MAGIC,
-    LIST_HEAD,
     POOL_TAG_FILE,
     POOL_TAG_PROCESS,
+    POOL_TAG_REGISTRY,
     POOL_TAG_TCP,
+    REGISTRY_KEY,
     TCP_ENDPOINT,
-    TCP_STATE_NAMES,
-    bytes_to_ip,
 )
-
-#: Kernel pool records are 64-byte aligned in the simulated guests.
-_POOL_ALIGN = 64
-_MAX_PID = 1 << 20
+from repro.vmi import walk
 
 
 def _require_windows(dump):
@@ -30,14 +22,14 @@ def _require_windows(dump):
         raise ForensicsError("plugin requires a Windows memory dump")
 
 
-def _eprocess_row(record, source_va):
+def _eprocess_row(eprocess_va, record):
     return {
         "pid": record["pid"],
         "ppid": record["ppid"],
         "name": cstring(record["image_name"]),
         "create_time": record["create_time"],
         "exit_time": record["exit_time"],
-        "eprocess_va": source_va,
+        "eprocess_va": eprocess_va,
         "handle_table": record["handle_table"],
     }
 
@@ -46,35 +38,17 @@ def _eprocess_row(record, source_va):
 def pslist(dump):
     """Walk PsActiveProcessHead — the canonical (linkable) process view."""
     _require_windows(dump)
-    head_va = dump.lookup_symbol("PsActiveProcessHead")
-    head = LIST_HEAD.decode(dump.read(kernel_pa(head_va), LIST_HEAD.size))
-    rows = []
-    current = head["next"]
-    seen = set()
-    while current != head_va:
-        if current in seen or current == 0:
-            raise ForensicsError("corrupt EPROCESS list in dump")
-        seen.add(current)
-        record = EPROCESS.decode(dump.read(kernel_pa(current), EPROCESS.size))
-        rows.append(_eprocess_row(record, current))
-        current = record["links_next"]
-    return rows
+    return [_eprocess_row(va, record)
+            for va, record in walk.eprocess_list(dump)]
 
 
 @plugin("psscan", pool_scan=True)
 def psscan(dump):
     """Pool-scan for 'Proc' tags — finds unlinked and exited processes."""
     _require_windows(dump)
-    rows = []
-    image = dump.image
-    offset = image.find(POOL_TAG_PROCESS)
-    while offset != -1:
-        if offset % _POOL_ALIGN == 0 and offset + EPROCESS.size <= len(image):
-            record = EPROCESS.decode(image, offset)
-            if record["pid"] < _MAX_PID and record["ppid"] < _MAX_PID:
-                rows.append(_eprocess_row(record, kernel_va(offset)))
-        offset = image.find(POOL_TAG_PROCESS, offset + 1)
-    return rows
+    return [_eprocess_row(va, record)
+            for va, record in walk.pool_sweep(dump, POOL_TAG_PROCESS, EPROCESS)
+            if record["pid"] < walk.MAX_PID and record["ppid"] < walk.MAX_PID]
 
 
 @plugin("psxview", pool_scan=True)
@@ -100,28 +74,10 @@ def psxview(dump):
 def netscan(dump):
     """Pool-scan for TCP endpoints ('TcpE' tags)."""
     _require_windows(dump)
-    rows = []
-    image = dump.image
-    offset = image.find(POOL_TAG_TCP)
-    while offset != -1:
-        if offset % _POOL_ALIGN == 0 and offset + TCP_ENDPOINT.size <= len(image):
-            record = TCP_ENDPOINT.decode(image, offset)
-            if record["owner_pid"] < _MAX_PID:
-                rows.append(
-                    {
-                        "protocol": "TCPv4",
-                        "owner_pid": record["owner_pid"],
-                        "local": "%s:%d"
-                        % (bytes_to_ip(record["local_ip"]), record["local_port"]),
-                        "remote": "%s:%d"
-                        % (bytes_to_ip(record["remote_ip"]), record["remote_port"]),
-                        "state": TCP_STATE_NAMES.get(
-                            record["state"], "UNKNOWN(%d)" % record["state"]
-                        ),
-                    }
-                )
-        offset = image.find(POOL_TAG_TCP, offset + 1)
-    return rows
+    return [socket_row(record, record["owner_pid"])
+            for _va, record in walk.pool_sweep(dump, POOL_TAG_TCP,
+                                               TCP_ENDPOINT)
+            if record["owner_pid"] < walk.MAX_PID]
 
 
 @plugin("handles")
@@ -132,27 +88,8 @@ def handles(dump, pid=None):
     for process in pslist(dump):
         if pid is not None and process["pid"] != pid:
             continue
-        table_pa = kernel_pa(process["handle_table"])
-        header = HANDLE_TABLE.decode(dump.read(table_pa, HANDLE_TABLE.size))
-        if header["magic"] != HANDLE_TABLE_MAGIC:
-            raise ForensicsError(
-                "corrupt handle table for pid %d" % process["pid"]
-            )
-        if header["count"] > 4096:
-            raise ForensicsError(
-                "implausible handle count %d for pid %d"
-                % (header["count"], process["pid"])
-            )
-        for index in range(header["count"]):
-            file_va = struct.unpack(
-                "<Q", dump.read(table_pa + HANDLE_TABLE.size + index * 8, 8)
-            )[0]
-            record = FILE_OBJECT.decode(
-                dump.read(kernel_pa(file_va), FILE_OBJECT.size)
-            )
-            if record["pool_tag"] != POOL_TAG_FILE:
-                raise ForensicsError("handle %d of pid %d is not a File object"
-                                     % (index, process["pid"]))
+        for index, (_va, record) in enumerate(
+                walk.handle_table(dump, process["handle_table"])):
             rows.append(
                 {
                     "pid": process["pid"],
@@ -170,23 +107,11 @@ def filescan(dump):
     closed or whose owning process was unlinked (complements handles)."""
     _require_windows(dump)
     rows = []
-    image = dump.image
-    offset = image.find(POOL_TAG_FILE)
-    while offset != -1:
-        if offset % _POOL_ALIGN == 0 and \
-                offset + FILE_OBJECT.size <= len(image):
-            record = FILE_OBJECT.decode(image, offset)
-            if record["owner_pid"] < _MAX_PID:
-                path = cstring(record["name"])
-                if path:
-                    rows.append(
-                        {
-                            "owner_pid": record["owner_pid"],
-                            "path": path,
-                            "file_va": kernel_va(offset),
-                        }
-                    )
-        offset = image.find(POOL_TAG_FILE, offset + 1)
+    for va, record in walk.pool_sweep(dump, POOL_TAG_FILE, FILE_OBJECT):
+        path = cstring(record["name"])
+        if record["owner_pid"] < walk.MAX_PID and path:
+            rows.append({"owner_pid": record["owner_pid"], "path": path,
+                         "file_va": va})
     return rows
 
 
@@ -223,19 +148,12 @@ def printkey(dump, prefix=None):
     the §5.6 analyst's view of what the malware could have harvested.
     """
     _require_windows(dump)
-    from repro.guest.windows import POOL_TAG_REGISTRY, REGISTRY_KEY
-
     rows = []
-    image = dump.image
-    offset = image.find(POOL_TAG_REGISTRY)
-    while offset != -1:
-        if offset % _POOL_ALIGN == 0 and \
-                offset + REGISTRY_KEY.size <= len(image):
-            record = REGISTRY_KEY.decode(image, offset)
-            key = cstring(record["name"])
-            if key and (prefix is None or key.startswith(prefix)):
-                rows.append({"key": key, "value": cstring(record["value"])})
-        offset = image.find(POOL_TAG_REGISTRY, offset + 1)
+    for _va, record in walk.pool_sweep(dump, POOL_TAG_REGISTRY,
+                                       REGISTRY_KEY):
+        key = cstring(record["name"])
+        if key and (prefix is None or key.startswith(prefix)):
+            rows.append({"key": key, "value": cstring(record["value"])})
     return rows
 
 
@@ -250,7 +168,7 @@ def procdump(dump, pid):
     """
     for row in psscan(dump):
         if row["pid"] == pid:
-            raw = dump.read(kernel_pa(row["eprocess_va"]), EPROCESS.size)
+            raw = dump.read_va(row["eprocess_va"], EPROCESS.size)
             return [
                 {
                     "pid": pid,

@@ -2,10 +2,16 @@
 
 An instance binds to one :class:`~repro.hypervisor.xen.Domain`, pays the
 one-time initialization + preprocessing costs (Table 3), and then offers
-cheap per-scan operations. All reads parse raw guest bytes through the OS
-profile; the only shortcut relative to real LibVMI is that user-space
-translation consults the guest's page-table object directly instead of
-walking CR3 — the mapping consulted is identical.
+cheap per-scan operations. All reads parse raw guest bytes through the
+guest's own struct layouts; the only shortcut relative to real LibVMI is
+that user-space translation consults the guest's page-table object
+directly instead of walking CR3 — the mapping consulted is identical.
+
+Every list, table, slab and pool walk is a generator in
+:mod:`repro.vmi.walk`, shared with the offline forensics plugins; this
+instance is the live address space those generators read through. The
+scan methods here turn walked nodes into ``*Info`` objects and charge
+the per-node constants between nodes.
 """
 
 import struct
@@ -16,15 +22,21 @@ from repro.errors import IntrospectionError, PageFault
 from repro.faults.planes import FaultPlane
 from repro.guest.layout import cstring
 from repro.guest.memory import PAGE_SIZE
+from repro.guest.linux import FLAG_KERNEL_THREAD, SYSCALL_COUNT
 from repro.guest.pagetable import KERNEL_BASE, kernel_pa
-from repro.guest.windows import TCP_STATE_NAMES, bytes_to_ip
+from repro.guest.windows import (
+    EPROCESS,
+    POOL_TAG_PROCESS,
+    POOL_TAG_TCP,
+    TCP_ENDPOINT,
+    TCP_STATE_NAMES,
+    bytes_to_ip,
+)
 from repro.obs.observer import Observer
 from repro.sim.rng import SeededStream
+from repro.vmi import walk
 from repro.vmi.costmodel import VmiCostModel
 from repro.vmi.osprofile import profile_for
-
-#: Sanity bound used when walking linked lists in untrusted guest memory.
-_MAX_LIST_LENGTH = 65536
 
 #: First page of the kernel direct map.
 _KERNEL_VPN = KERNEL_BASE // PAGE_SIZE
@@ -50,6 +62,21 @@ class ProcessInfo:
         self.start_time = start_time
         self.exit_time = exit_time
         self.kernel_thread = kernel_thread
+
+    @classmethod
+    def from_task(cls, va, record):
+        """From a decoded Linux task_struct."""
+        return cls(record["pid"], cstring(record["comm"]), va,
+                   uid=record["uid"], state=record["state"],
+                   start_time=record["start_time"],
+                   kernel_thread=bool(record["flags"] & FLAG_KERNEL_THREAD))
+
+    @classmethod
+    def from_eprocess(cls, va, record):
+        """From a decoded Windows EPROCESS."""
+        return cls(record["pid"], cstring(record["image_name"]), va,
+                   ppid=record["ppid"], start_time=record["create_time"],
+                   exit_time=record["exit_time"])
 
     def __repr__(self):
         return "ProcessInfo(pid=%d, name=%r)" % (self.pid, self.name)
@@ -82,6 +109,14 @@ class SocketInfo:
         self.state = state
         self.object_va = object_va
 
+    @classmethod
+    def of(cls, va, record, owner_pid):
+        """From a decoded Linux socket or Windows TCP endpoint."""
+        return cls(owner_pid,
+                   (bytes_to_ip(record["local_ip"]), record["local_port"]),
+                   (bytes_to_ip(record["remote_ip"]), record["remote_port"]),
+                   record["state"], va)
+
     @property
     def state_name(self):
         return TCP_STATE_NAMES.get(self.state, "UNKNOWN(%d)" % self.state)
@@ -91,6 +126,20 @@ class SocketInfo:
             self.owner_pid, self.local[0], self.local[1],
             self.remote[0], self.remote[1], self.state_name,
         )
+
+
+class FileInfo:
+    """One open file on the Linux kernel's file chain."""
+
+    __slots__ = ("owner_pid", "path", "object_va")
+
+    def __init__(self, owner_pid, path, object_va):
+        self.owner_pid = owner_pid
+        self.path = path
+        self.object_va = object_va
+
+    def __repr__(self):
+        return "FileInfo(pid=%d, path=%r)" % (self.owner_pid, self.path)
 
 
 class VMIInstance:
@@ -252,9 +301,22 @@ class VMIInstance:
     def read_u64_va(self, vaddr, pid=0):
         return struct.unpack("<Q", self.read_va(vaddr, 8, pid))[0]
 
-    # -- list-walk integrity ------------------------------------------------
+    # -- walks (repro.vmi.walk over this instance) ----------------------------
 
-    def _abort_list_walk(self, what, node_va, nodes, reason):
+    #: The error a walker raises for malformed guest memory.
+    error = IntrospectionError
+
+    @property
+    def size(self):
+        """Bytes of guest-physical memory."""
+        return self.vm.memory.size
+
+    def pool_regions(self):
+        """``(start, bytes)`` per kernel pool range, one read each."""
+        for start, end in self.vm.pool_ranges():
+            yield start, self.read_pa(start, end - start)
+
+    def abort_walk(self, what, node_va, nodes, reason):
         """A walk over untrusted guest memory did not terminate cleanly.
 
         A corrupted next pointer must never read as a *shorter clean
@@ -271,6 +333,14 @@ class VMIInstance:
             % (what, reason, node_va, nodes)
         )
 
+    def _processes(self, nodes, info):
+        """``info`` per walked node, charging the per-process constant."""
+        processes = []
+        for va, record in nodes:
+            self._charge_us(self.costs.PER_PROCESS_US)
+            processes.append(info(va, record))
+        return processes
+
     # -- scans: processes ------------------------------------------------------------
 
     def list_processes(self):
@@ -278,192 +348,79 @@ class VMIInstance:
         self._charge_ms(self.costs.SCAN_BASE_MS)
         if self.profile.os_name == "linux":
             return self._linux_task_list()
-        return self._windows_active_list()
+        return self._processes(walk.eprocess_list(self),
+                               ProcessInfo.from_eprocess)
 
     def _linux_task_list(self):
-        layout = self.profile.struct("task_struct")
-        head_va = self.lookup_symbol(self.profile.root_symbol("process_list"))
-        names = layout.names
-        i_pid = names.index("pid")
-        i_comm = names.index("comm")
-        i_uid = names.index("uid")
-        i_state = names.index("state")
-        i_start = names.index("start_time")
-        i_flags = names.index("flags")
-        i_next = names.index("tasks_next")
-        processes = []
-        current = head_va
-        seen = set()
-        for _ in range(_MAX_LIST_LENGTH):
-            if current in seen:
-                self._abort_list_walk("task", current, len(processes), "cycle")
-            seen.add(current)
-            record = layout.unpack(self.read_va(current, layout.size))
-            self._charge_us(self.costs.PER_PROCESS_US)
-            processes.append(
-                ProcessInfo(
-                    pid=record[i_pid],
-                    name=cstring(record[i_comm]),
-                    object_va=current,
-                    uid=record[i_uid],
-                    state=record[i_state],
-                    start_time=record[i_start],
-                    kernel_thread=bool(record[i_flags] & 0x2),
-                )
-            )
-            current = record[i_next]
-            if current == head_va:
-                return processes
-            if current == 0:
-                raise IntrospectionError("task list broken: NULL tasks_next")
-        self._abort_list_walk("task", current, len(processes), "bound")
-
-    def _windows_active_list(self):
-        eprocess = self.profile.struct("eprocess")
-        list_head = self.profile.struct("list_head")
-        head_va = self.lookup_symbol(self.profile.root_symbol("process_list"))
-        head = list_head.decode(self.read_va(head_va, list_head.size))
-        names = eprocess.names
-        i_pid = names.index("pid")
-        i_name = names.index("image_name")
-        i_ppid = names.index("ppid")
-        i_create = names.index("create_time")
-        i_exit = names.index("exit_time")
-        i_next = names.index("links_next")
-        processes = []
-        current = head["next"]
-        seen = {head_va}
-        for _ in range(_MAX_LIST_LENGTH):
-            if current == head_va:
-                return processes
-            if current in seen:
-                self._abort_list_walk("eprocess", current, len(processes),
-                                      "cycle")
-            seen.add(current)
-            record = eprocess.unpack(self.read_va(current, eprocess.size))
-            self._charge_us(self.costs.PER_PROCESS_US)
-            processes.append(
-                ProcessInfo(
-                    pid=record[i_pid],
-                    name=cstring(record[i_name]),
-                    object_va=current,
-                    ppid=record[i_ppid],
-                    start_time=record[i_create],
-                    exit_time=record[i_exit],
-                )
-            )
-            current = record[i_next]
-        self._abort_list_walk("eprocess", current, len(processes), "bound")
+        return self._processes(walk.task_list(self), ProcessInfo.from_task)
 
     def list_processes_pid_hash(self):
         """Second Linux process view: walk every pid-hash chain."""
-        if self.profile.os_name != "linux":
-            raise IntrospectionError("pid hash only exists on Linux guests")
+        self._require_linux("pid hash")
         self._charge_ms(self.costs.SCAN_BASE_MS)
-        layout = self.profile.struct("task_struct")
-        hash_va = self.lookup_symbol(self.profile.root_symbol("pid_hash"))
-        names = layout.names
-        i_pid = names.index("pid")
-        i_comm = names.index("comm")
-        i_uid = names.index("uid")
-        i_state = names.index("state")
-        i_start = names.index("start_time")
-        i_chain = names.index("pid_chain")
-        processes = []
-        for bucket in range(64):
-            current = self.read_u64_va(hash_va + bucket * 8)
-            seen = set()
-            while current:
-                if current in seen:
-                    self._abort_list_walk("pid-hash", current,
-                                          len(processes), "cycle")
-                seen.add(current)
-                record = layout.unpack(self.read_va(current, layout.size))
-                self._charge_us(self.costs.PER_PROCESS_US)
-                processes.append(
-                    ProcessInfo(
-                        pid=record[i_pid],
-                        name=cstring(record[i_comm]),
-                        object_va=current,
-                        uid=record[i_uid],
-                        state=record[i_state],
-                        start_time=record[i_start],
-                    )
-                )
-                current = record[i_chain]
-                if len(seen) > _MAX_LIST_LENGTH:
-                    self._abort_list_walk("pid-hash", current,
-                                          len(processes), "bound")
-        return processes
+        return self._processes(walk.pid_hash(self), ProcessInfo.from_task)
 
-    # -- scans: modules and syscall table -----------------------------------------------
+    def pool_scan_processes(self):
+        """psscan-style sweep of the Windows kernel pool for EPROCESS tags.
+
+        Considerably more expensive than walking the active list (it reads
+        the whole kernel region), but finds unlinked processes a rootkit
+        hid via DKOM.
+        """
+        if self.profile.os_name != "windows":
+            raise IntrospectionError("pool scan implemented for Windows guests")
+        return [ProcessInfo.from_eprocess(va, record)
+                for va, record in walk.pool_sweep(self, POOL_TAG_PROCESS,
+                                                  EPROCESS)
+                if record["pid"] < walk.MAX_PID]
+
+    def slab_scan_processes(self):
+        """The Linux analogue of :meth:`pool_scan_processes`: every
+        task_struct in the task slab, linked or not."""
+        self._require_linux("task slab")
+        return [ProcessInfo.from_task(va, record)
+                for va, record in walk.task_slab(self)]
+
+    def _require_linux(self, what):
+        if self.profile.os_name != "linux":
+            raise IntrospectionError("%s only exists on Linux guests" % what)
+
+    # -- scans: modules, files and kernel tables ------------------------------
 
     def list_modules(self):
         """Walk the loaded-module list (LibVMI module-list)."""
-        if self.profile.os_name != "linux":
-            raise IntrospectionError("module list implemented for Linux guests")
+        self._require_linux("module list")
         self._charge_ms(self.costs.SCAN_BASE_MS)
-        layout = self.profile.struct("module")
-        head_va = self.lookup_symbol(self.profile.root_symbol("module_list"))
-        current = self.read_u64_va(head_va)
-        names = layout.names
-        i_name = names.index("name")
-        i_base = names.index("base")
-        i_size = names.index("size")
-        i_next = names.index("next")
         modules = []
-        seen = set()
-        for _ in range(_MAX_LIST_LENGTH):
-            if current == 0:
-                return modules
-            if current in seen:
-                self._abort_list_walk("module", current, len(modules), "cycle")
-            seen.add(current)
-            record = layout.unpack(self.read_va(current, layout.size))
+        for va, record in walk.module_list(self):
             self._charge_us(self.costs.PER_MODULE_US)
-            modules.append(
-                ModuleInfo(
-                    name=cstring(record[i_name]),
-                    base=record[i_base],
-                    size=record[i_size],
-                    object_va=current,
-                )
-            )
-            current = record[i_next]
-        self._abort_list_walk("module", current, len(modules), "bound")
+            modules.append(ModuleInfo(cstring(record["name"]), record["base"],
+                                      record["size"], va))
+        return modules
+
+    def list_files(self):
+        """Walk the kernel's open-file chain (Linux)."""
+        self._require_linux("file table")
+        self._charge_ms(self.costs.SCAN_BASE_MS)
+        return [FileInfo(record["pid"], cstring(record["path"]), va)
+                for va, record in walk.file_list(self)]
+
+    def read_pointer_table(self, symbol, count):
+        """Read ``count`` u64 slots of the kernel table at ``symbol``."""
+        entries = walk.pointer_table(self, symbol, count)
+        self._charge_us(self.costs.PER_SYSCALL_US * count)
+        return entries
 
     def read_syscall_table(self):
         """Read all syscall-table entries (integrity-scan input)."""
-        from repro.guest.linux import SYSCALL_COUNT
-
-        table_va = self.lookup_symbol(self.profile.root_symbol("syscall_table"))
-        raw = self.read_va(table_va, SYSCALL_COUNT * 8)
-        self._charge_us(self.costs.PER_SYSCALL_US * SYSCALL_COUNT)
-        return list(struct.unpack("<%dQ" % SYSCALL_COUNT, raw))
+        return self.read_pointer_table(
+            self.profile.root_symbol("syscall_table"), SYSCALL_COUNT)
 
     # -- scans: canaries (guest-aided module's data source) ---------------------------------
 
     def canary_directory(self):
         """Read the guest's (pid, canary-table VA) directory."""
-        header_layout = self.profile.struct("canary_directory_header")
-        entry_layout = self.profile.struct("canary_directory_entry")
-        directory_va = self.lookup_symbol(
-            self.profile.root_symbol("canary_directory")
-        )
-        header = header_layout.decode(
-            self.read_va(directory_va, header_layout.size)
-        )
-        if header["count"] > 65536:
-            raise IntrospectionError(
-                "implausible canary-directory count %d" % header["count"]
-            )
-        entries = []
-        cursor = directory_va + header_layout.size
-        for _ in range(header["count"]):
-            record = entry_layout.decode(self.read_va(cursor, entry_layout.size))
-            entries.append((record["pid"], record["table_va"]))
-            cursor += entry_layout.size
-        return entries
+        return list(walk.canary_directory(self))
 
     def read_canary_table_slab(self, pid, table_va):
         """Read one process's tripwire table.
@@ -560,103 +517,12 @@ class VMIInstance:
         """Open TCP endpoints, live (Linux socket list / Windows pool)."""
         self._charge_ms(self.costs.SCAN_BASE_MS)
         if self.profile.os_name == "linux":
-            return self._linux_socket_list()
-        return self._windows_socket_pool()
-
-    def _linux_socket_list(self):
-        from repro.guest.linux import SOCKET, SOCKET_MAGIC
-
-        head_va = self.lookup_symbol("tcp_sockets")
-        current = self.read_u64_va(head_va)
-        names = SOCKET.names
-        i_magic = names.index("magic")
-        i_pid = names.index("pid")
-        i_lip = names.index("local_ip")
-        i_lport = names.index("local_port")
-        i_rip = names.index("remote_ip")
-        i_rport = names.index("remote_port")
-        i_state = names.index("state")
-        i_next = names.index("next")
-        sockets = []
-        seen = set()
-        for _ in range(_MAX_LIST_LENGTH):
-            if current == 0:
-                return sockets
-            if current in seen:
-                self._abort_list_walk("socket", current, len(sockets), "cycle")
-            seen.add(current)
-            record = SOCKET.unpack(self.read_va(current, SOCKET.size))
-            if record[i_magic] != SOCKET_MAGIC:
-                raise IntrospectionError(
-                    "corrupt socket object at 0x%x" % current
-                )
-            sockets.append(
-                SocketInfo(
-                    owner_pid=record[i_pid],
-                    local=(bytes_to_ip(record[i_lip]), record[i_lport]),
-                    remote=(bytes_to_ip(record[i_rip]), record[i_rport]),
-                    state=record[i_state],
-                    object_va=current,
-                )
-            )
-            current = record[i_next]
-        self._abort_list_walk("socket", current, len(sockets), "bound")
-
-    def _windows_socket_pool(self):
-        endpoint = self.profile.struct("tcp_endpoint")
-        sockets = []
-        for start, end in self.vm.pool_ranges():
-            region = self.read_pa(start, end - start)
-            offset = region.find(b"TcpE")
-            while offset != -1:
-                absolute = start + offset
-                if absolute % 64 == 0 and offset + endpoint.size <= len(region):
-                    record = endpoint.decode(region, offset)
-                    sockets.append(
-                        SocketInfo(
-                            owner_pid=record["owner_pid"],
-                            local=(bytes_to_ip(record["local_ip"]),
-                                   record["local_port"]),
-                            remote=(bytes_to_ip(record["remote_ip"]),
-                                    record["remote_port"]),
-                            state=record["state"],
-                            object_va=KERNEL_BASE + absolute,
-                        )
-                    )
-                offset = region.find(b"TcpE", offset + 1)
-        return sockets
-
-    def pool_scan_processes(self):
-        """psscan-style sweep of the Windows kernel pool for EPROCESS tags.
-
-        Considerably more expensive than walking the active list (it reads
-        the whole kernel region), but finds unlinked processes a rootkit
-        hid via DKOM.
-        """
-        if self.profile.os_name != "windows":
-            raise IntrospectionError("pool scan implemented for Windows guests")
-        eprocess = self.profile.struct("eprocess")
-        processes = []
-        for start, end in self.vm.pool_ranges():
-            region = self.read_pa(start, end - start)
-            offset = region.find(b"Proc")
-            while offset != -1:
-                absolute = start + offset
-                if absolute % 64 == 0 and offset + eprocess.size <= len(region):
-                    record = eprocess.decode(region, offset)
-                    if record["pid"] < (1 << 20):
-                        processes.append(
-                            ProcessInfo(
-                                pid=record["pid"],
-                                name=cstring(record["image_name"]),
-                                object_va=KERNEL_BASE + absolute,
-                                ppid=record["ppid"],
-                                start_time=record["create_time"],
-                                exit_time=record["exit_time"],
-                            )
-                        )
-                offset = region.find(b"Proc", offset + 1)
-        return processes
+            nodes, owner = walk.socket_list(self), "pid"
+        else:
+            nodes = walk.pool_sweep(self, POOL_TAG_TCP, TCP_ENDPOINT)
+            owner = "owner_pid"
+        return [SocketInfo.of(va, record, record[owner])
+                for va, record in nodes]
 
     # -- events (replay-time write trapping) ------------------------------------------------
 
@@ -679,19 +545,5 @@ class VMIInstance:
 
     def read_handle_table(self, handle_table_va):
         """File paths referenced by a Windows process's handle table."""
-        table_layout = self.profile.struct("handle_table")
-        file_layout = self.profile.struct("file_object")
-        header = table_layout.decode(
-            self.read_va(handle_table_va, table_layout.size)
-        )
-        if header["count"] > 4096:
-            raise IntrospectionError(
-                "implausible handle count %d" % header["count"]
-            )
-        paths = []
-        cursor = handle_table_va + table_layout.size
-        for index in range(header["count"]):
-            file_va = self.read_u64_va(cursor + index * 8)
-            record = file_layout.decode(self.read_va(file_va, file_layout.size))
-            paths.append(cstring(record["name"]))
-        return paths
+        return [cstring(record["name"])
+                for _va, record in walk.handle_table(self, handle_table_va)]

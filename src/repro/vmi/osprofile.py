@@ -2,8 +2,8 @@
 
 A real LibVMI reads these from a profile/Rekall JSON generated from kernel
 debug symbols. Here the profile carries the same :class:`StructDef` objects
-the guest serialized with — the profile *is* the ABI contract between guest
-and introspector; nothing else is shared.
+the guest serialized with, by name, for :meth:`VMIInstance.read_struct`;
+the walkers of :mod:`repro.vmi.walk` use those objects directly.
 """
 
 from repro.errors import IntrospectionError

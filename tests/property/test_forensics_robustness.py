@@ -1,9 +1,13 @@
-"""Robustness property: forensics plugins over corrupted guest memory.
+"""Robustness properties: live and offline walkers over guest memory.
 
 An attacker controls every byte the analyzer parses. Whatever garbage a
 dump contains, plugins must either return rows or raise a library error
 — never hang, never chase pointers outside the image, never crash with
-an unrelated exception.
+an unrelated exception. The live VMI walkers owe the same.
+
+Both sides drive the same walkers (``repro.vmi.walk``), so on an intact
+guest a live scan and its plugin over ``MemoryDump.from_vm`` of the same
+VM must also agree, node for node.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -11,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import CrimesError
 from repro.forensics.dumps import MemoryDump
 from repro.forensics.volatility import VolatilityFramework
-from repro.guest.linux import LinuxGuest
+from repro.guest.linux import SYSCALL_COUNT, LinuxGuest
 from repro.guest.windows import WindowsGuest
+from repro.hypervisor.xen import Hypervisor
+from repro.vmi.libvmi import VMIInstance
 
 LINUX_PLUGINS = ("linux_pslist", "linux_psscan", "linux_pidhashtable",
                  "linux_lsmod", "linux_netstat", "linux_lsof")
@@ -73,26 +79,186 @@ def test_windows_plugins_fail_closed(rng_data):
         assert isinstance(rows, list)
 
 
-@settings(max_examples=20, deadline=None)
-@given(rng_data=corruption)
-def test_live_vmi_walkers_fail_closed(rng_data):
-    from repro.hypervisor.xen import Hypervisor
-    from repro.vmi.libvmi import VMIInstance
+def _live(vm, seed):
+    return VMIInstance(Hypervisor(clock=vm.clock).create_domain(vm),
+                       seed=seed)
 
-    vm = LinuxGuest(name="fuzz-vmi", memory_bytes=4 * 1024 * 1024,
-                    seed=202)
-    vm.create_process("victim", heap_pages=2)
+
+def _scribble(vm, rng_data):
     for offset, blob in rng_data:
         span = min(len(blob), vm.memory.size - offset)
         if span > 0:
             vm.memory.write(offset, blob[:span])
-    domain = Hypervisor(clock=vm.clock).create_domain(vm)
-    vmi = VMIInstance(domain, seed=202)
-    for walker in (vmi.list_processes, vmi.list_modules,
-                   vmi.list_sockets, vmi.list_processes_pid_hash,
-                   vmi.read_syscall_table, vmi.canary_directory):
+
+
+def _fail_closed(walkers):
+    for walker in walkers:
         try:
             result = walker()
         except CrimesError:
             continue
         assert result is not None
+
+
+@settings(max_examples=20, deadline=None)
+@given(rng_data=corruption)
+def test_live_vmi_walkers_fail_closed(rng_data):
+    vm = LinuxGuest(name="fuzz-vmi", memory_bytes=4 * 1024 * 1024,
+                    seed=202)
+    vm.create_process("victim", heap_pages=2)
+    _scribble(vm, rng_data)
+    vmi = _live(vm, 202)
+    _fail_closed((vmi.list_processes, vmi.list_modules, vmi.list_sockets,
+                  vmi.list_processes_pid_hash, vmi.list_files,
+                  vmi.slab_scan_processes, vmi.read_syscall_table,
+                  vmi.canary_directory))
+
+
+@settings(max_examples=20, deadline=None)
+@given(rng_data=corruption)
+def test_live_windows_vmi_walkers_fail_closed(rng_data):
+    vm = WindowsGuest(name="fuzz-vmi-windows",
+                      memory_bytes=4 * 1024 * 1024, seed=203)
+    pid = vm.create_process("victim.exe")
+    vm.open_file(pid, "\\Device\\X\\fuzz.txt")
+    vm.open_socket(pid, ("10.0.0.1", 1), ("10.0.0.2", 2))
+    clean = _live(vm, 203)
+    handle_tables = [
+        clean.read_struct("eprocess", process.object_va)["handle_table"]
+        for process in clean.list_processes()]
+    _scribble(vm, rng_data)
+    vmi = _live(vm, 203)
+    _fail_closed([vmi.list_processes, vmi.list_sockets,
+                  vmi.pool_scan_processes]
+                 + [lambda va=va: vmi.read_handle_table(va)
+                    for va in handle_tables])
+
+
+# -- the live and offline views agree -------------------------------------
+
+#: Guest activity: (op, argument) pairs applied in order.
+_ACTIVITY = st.lists(st.tuples(
+    st.sampled_from(["spawn", "hide", "exit", "module", "socket", "file",
+                     "hijack"]),
+    st.integers(min_value=0, max_value=SYSCALL_COUNT - 1),
+), max_size=12)
+
+
+def _pick(pids, index):
+    return pids[index % len(pids)] if pids else None
+
+
+def _linux_guest(activity):
+    vm = LinuxGuest(name="agree-linux", memory_bytes=4 * 1024 * 1024,
+                    seed=204)
+    pids = []
+    for op, arg in activity:
+        pid = _pick(pids, arg)
+        if op == "spawn":
+            pids.append(vm.create_process("proc%d" % arg, heap_pages=1).pid)
+        elif op == "module":
+            vm.load_module("mod%d" % arg, 0x1000 * (arg + 1))
+        elif op == "hijack":
+            vm.hijack_syscall(arg, 0xFFFFFFFFA0000000 + arg * 16)
+        elif pid is None:
+            continue
+        elif op == "hide":
+            vm.hide_process(pid)
+        elif op == "exit":
+            vm.exit_process(pid)
+            pids.remove(pid)
+        elif op == "socket":
+            vm.open_socket(pid, ("10.0.0.%d" % (arg % 250), 1000 + arg),
+                           ("203.0.113.%d" % (arg % 250), 80))
+        else:
+            vm.open_file(pid, "/tmp/file%d" % arg)
+    return vm
+
+
+def _windows_guest(activity):
+    vm = WindowsGuest(name="agree-windows", memory_bytes=4 * 1024 * 1024,
+                      seed=205)
+    pids = []
+    for op, arg in activity:
+        pid = _pick(pids, arg)
+        if op == "spawn":
+            pids.append(vm.create_process("proc%d.exe" % arg))
+        elif pid is None or op in ("module", "hijack"):
+            continue
+        elif op == "hide":
+            vm.hide_process(pid)
+        elif op == "exit":
+            vm.terminate_process(pid)
+            pids.remove(pid)
+        elif op == "socket":
+            vm.open_socket(pid, ("10.0.0.%d" % (arg % 250), 1000 + arg),
+                           ("203.0.113.%d" % (arg % 250), 80))
+        else:
+            vm.open_file(pid, "\\Device\\X\\file%d" % arg)
+    return vm
+
+
+def _endpoints(sockets):
+    return sorted((s.owner_pid, "%s:%d" % s.local, "%s:%d" % s.remote,
+                   s.state_name) for s in sockets)
+
+
+def _rows_endpoints(rows):
+    return sorted((row["owner_pid"], row["local"], row["remote"],
+                   row["state"]) for row in rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(activity=_ACTIVITY)
+def test_linux_live_and_offline_views_agree(activity):
+    vm = _linux_guest(activity)
+    vmi = _live(vm, 204)
+    dump = MemoryDump.from_vm(vm)
+
+    def tasks(processes):
+        return [(p.pid, p.object_va) for p in processes]
+
+    def rows(plugin, va="task_va"):
+        return [(row["pid"], row[va]) for row in _volatility.run(plugin, dump)]
+
+    assert tasks(vmi.list_processes()) == rows("linux_pslist")
+    assert tasks(vmi.list_processes_pid_hash()) == \
+        rows("linux_pidhashtable")
+    assert tasks(vmi.slab_scan_processes()) == rows("linux_psscan")
+    assert [(m.name, m.base, m.size) for m in vmi.list_modules()] == \
+        [(row["name"], row["base"], row["size"])
+         for row in _volatility.run("linux_lsmod", dump)]
+    assert _endpoints(vmi.list_sockets()) == \
+        _rows_endpoints(_volatility.run("linux_netstat", dump))
+    assert [(f.owner_pid, f.path, f.object_va) for f in vmi.list_files()] \
+        == [(row["pid"], row["path"], row["file_va"])
+            for row in _volatility.run("linux_lsof", dump)]
+    assert vmi.read_syscall_table() == \
+        [row["address"] for row in
+         _volatility.run("linux_check_syscall", dump)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(activity=_ACTIVITY)
+def test_windows_live_and_offline_views_agree(activity):
+    vm = _windows_guest(activity)
+    vmi = _live(vm, 205)
+    dump = MemoryDump.from_vm(vm)
+
+    def rows(plugin):
+        return [(row["pid"], row["eprocess_va"])
+                for row in _volatility.run(plugin, dump)]
+
+    listed = vmi.list_processes()
+    assert [(p.pid, p.object_va) for p in listed] == rows("pslist")
+    assert [(p.pid, p.object_va) for p in vmi.pool_scan_processes()] == \
+        rows("psscan")
+    assert _endpoints(vmi.list_sockets()) == \
+        _rows_endpoints(_volatility.run("netscan", dump))
+    live_handles = sorted(
+        (process.pid, path) for process in listed
+        for path in vmi.read_handle_table(vmi.read_struct(
+            "eprocess", process.object_va)["handle_table"]))
+    assert live_handles == sorted(
+        (row["pid"], row["path"])
+        for row in _volatility.run("handles", dump))

@@ -12,7 +12,8 @@ from repro.detectors.deep import (
 )
 from repro.errors import CrimesError
 from repro.forensics.dumps import MemoryDump
-from repro.guest.linux import LinuxGuest
+from repro.guest.linux import KMEM_CACHE, LinuxGuest
+from repro.guest.pagetable import kernel_pa
 from repro.workloads.attacks import (
     MemoryResidentMalware,
     OverflowAttackProgram,
@@ -55,6 +56,17 @@ class TestDeepModules:
         dump = MemoryDump.from_vm(linux_vm)
         findings = HiddenProcessDeepScan(seed=1).scan(dump)
         assert any(f.details["name"] == "lurker" for f in findings)
+
+    def test_psxview_deep_scan_reports_a_hostile_slab_header(self, linux_vm):
+        # Swept as given, a zeroed slot size returns slot 0 slot_count
+        # times: a blind scan that reads as clean. The refused header
+        # must itself be the finding.
+        cache_pa = kernel_pa(linux_vm.symbols.lookup("kmem_cache_task"))
+        KMEM_CACHE.write_field(linux_vm.memory, cache_pa, "slot_size", 0)
+        dump = MemoryDump.from_vm(linux_vm)
+        (finding,) = HiddenProcessDeepScan(seed=1).scan(dump)
+        assert finding.kind == "corrupt-process-structures"
+        assert "task slab" in finding.details["error"]
 
 
 class TestAsyncScannerIntegration:

@@ -7,6 +7,7 @@ or silently return garbage.
 """
 
 import struct
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.errors import (
 from repro.forensics.dumps import MemoryDump
 from repro.forensics.volatility import VolatilityFramework
 from repro.guest.heap import CANARY_TABLE_HEADER
-from repro.guest.linux import TASK_STRUCT
+from repro.guest.linux import KMEM_CACHE, TASK_STRUCT, LinuxGuest
 from repro.guest.pagetable import kernel_pa
 from repro.vmi.libvmi import VMIInstance
 
@@ -125,3 +126,52 @@ def test_malfind_clean_guest_empty(linux_vm):
     linux_vm.create_process("innocent")
     dump = MemoryDump.from_vm(linux_vm)
     assert VolatilityFramework().run("linux_malfind", dump) == []
+
+
+def _slab_guest():
+    vm = LinuxGuest(name="slab", memory_bytes=4 * 1024 * 1024, seed=71)
+    vm.create_process("nginx", heap_pages=2)
+    gone = vm.create_process("gone", heap_pages=2)
+    hidden = vm.create_process("hidden", heap_pages=2)
+    vm.exit_process(gone.pid)
+    vm.hide_process(hidden.pid)
+    return vm
+
+
+@pytest.mark.parametrize("plugin", ["linux_psscan", "linux_psxview"])
+@pytest.mark.parametrize("header", [
+    {"slot_size": 0, "slot_count": 2**32 - 1},
+    {"slot_count": 2**32 - 1},
+], ids=["zero-slot-size", "slab-past-image"])
+def test_hostile_task_slab_header_fails_fast(plugin, header):
+    # Swept as given, a slot_size of 0 re-reads one slot slot_count
+    # times (~4e9 rows, hours); the header must be refused up front.
+    vm = _slab_guest()
+    cache_pa = kernel_pa(vm.symbols.lookup("kmem_cache_task"))
+    for field, value in header.items():
+        KMEM_CACHE.write_field(vm.memory, cache_pa, field, value)
+    dump = MemoryDump.from_vm(vm)
+    started = time.perf_counter()
+    with pytest.raises(ForensicsError, match="task slab"):
+        VolatilityFramework().run(plugin, dump)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_clean_task_slab_rows_unchanged():
+    dump = MemoryDump.from_vm(_slab_guest())
+    volatility = VolatilityFramework()
+    assert [(row["pid"], row["name"], hex(row["task_va"]), row["in_use"])
+            for row in volatility.run("linux_psscan", dump)] == [
+        (0, "swapper/0", "0xffff880000001000", True),
+        (1, "nginx", "0xffff880000001080", True),
+        (2, "gone", "0xffff880000001100", False),
+        (3, "hidden", "0xffff880000001180", True),
+    ]
+    assert [(row["pid"], row["in_pslist"], row["in_pid_hash"],
+             row["suspicious"])
+            for row in volatility.run("linux_psxview", dump)] == [
+        (0, True, False, False),
+        (1, True, True, False),
+        (2, False, False, False),
+        (3, False, True, True),
+    ]

@@ -10,7 +10,7 @@ from repro.guest.pagetable import kernel_va
 def test_from_vm_captures_image_and_symbols(linux_vm):
     linux_vm.memory.write(0x1234, b"evidence")
     dump = MemoryDump.from_vm(linux_vm, label="test")
-    assert dump.read(0x1234, 8) == b"evidence"
+    assert dump.read_pa(0x1234, 8) == b"evidence"
     assert dump.lookup_symbol("init_task") == \
         linux_vm.symbols.lookup("init_task")
     assert dump.label == "test"
@@ -18,9 +18,9 @@ def test_from_vm_captures_image_and_symbols(linux_vm):
 
 def test_dump_is_immutable_copy(linux_vm):
     dump = MemoryDump.from_vm(linux_vm)
-    original = dump.read(0x1000, 12)
+    original = dump.read_pa(0x1000, 12)
     linux_vm.memory.write(0x1000, b"later-change")
-    assert dump.read(0x1000, 12) == original
+    assert dump.read_pa(0x1000, 12) == original
     assert linux_vm.memory.read(0x1000, 12) == b"later-change"
 
 
@@ -29,13 +29,13 @@ def test_from_snapshot(linux_vm):
     snapshot = linux_vm.snapshot()
     linux_vm.memory.write(0x2000, b"overwritten")
     dump = MemoryDump.from_snapshot(linux_vm, snapshot, label="clean")
-    assert dump.read(0x2000, 11) == b"at-snapshot"
+    assert dump.read_pa(0x2000, 11) == b"at-snapshot"
 
 
 def test_read_out_of_range_rejected(linux_vm):
     dump = MemoryDump.from_vm(linux_vm)
     with pytest.raises(ForensicsError):
-        dump.read(dump.size, 1)
+        dump.read_pa(dump.size, 1)
 
 
 def test_kernel_translation(linux_vm):

@@ -81,7 +81,7 @@ class TestCommonPlugins:
         )
         assert len(rows) == 1
         assert rows[0]["match"] == b"SECRET_TOKEN_12345"
-        assert dump.read(rows[0]["paddr"], 12) == b"SECRET_TOKEN"
+        assert dump.read_pa(rows[0]["paddr"], 12) == b"SECRET_TOKEN"
 
     def test_yarascan_no_match(self, linux_vm):
         dump = MemoryDump.from_vm(linux_vm)
