@@ -14,11 +14,11 @@ At the end of each epoch this module validates the tripwires whose pages
 were dirtied during the epoch — the dirty-page filter is what makes the
 scan cheap (§5.5: ≈90,000 canaries validated per millisecond). Every
 table, however small, goes through one columnar pass: one bulk page
-translation, the dirty filter over numpy arrays, one gather of the
-canary values, and one bulk charge per run of canaries between two
-freed-region checks. An entry whose address does not translate (the
-table is guest memory, so it may be hostile) is skipped, like an
-unmapped page.
+translation, the dirty filter over numpy arrays, one bulk charge for
+every selected canary and freed region in table order, then one gather
+of the canary values and one slice per freed region. An entry whose
+address does not translate (the table is guest memory, so it may be
+hostile) is skipped, like an unmapped page.
 """
 
 import numpy as _np
@@ -84,9 +84,10 @@ class CanaryScanModule(ScanModule):
         would refuse it: an unmapped or hostile address, whose entry is
         skipped; so is a canary whose ``addr + size`` wrapped past 2^64,
         which ``translate`` refuses too), and the dirty test runs over
-        the frame array. So it cannot move virtual time; the charged
-        reads then run for exactly the entries — in exactly the table
-        order — a per-entry ``translate`` + read loop would have read.
+        the frame array. So it cannot move virtual time; the charge then
+        covers exactly the entries — in exactly the table order — a
+        per-entry ``translate`` + read loop would have read, with the
+        same read and check terms, fault probes and raise point.
         """
         vmi = context.vmi
         is_canary = kinds == KIND_CANARY
@@ -100,19 +101,25 @@ class CanaryScanModule(ScanModule):
         checked = (is_canary | is_freed) if self.check_freed \
             else is_canary.copy()
         checked &= (pfns >= 0) & (probe_va >= addrs)
+        if not self.scan_all_pages:
+            # A freed region is checked when a frame of its physical range
+            # [probe frame, last frame] is dirty: none for an empty region
+            # at a page start, several for one that crosses a page
+            # boundary. The guest writes ``size``; no frame past RAM can
+            # be dirty, so clamping it to the RAM size keeps the selection
+            # and the int64 math.
+            offsets = (probe_va & (PAGE_SIZE - 1)).astype(_np.int64)
+            spans_bytes = _np.minimum(sizes, vmi.vm.memory.size)
+            last_pfns = pfns + ((offsets + spans_bytes.astype(_np.int64)
+                                 - 1) >> _PAGE_SHIFT)
+            checked &= ~is_freed | (last_pfns >= pfns)
         if not self.scan_all_pages and context.dirty_pfns is not None:
             dirty = context.dirty_pfns
             dirty_arr = _np.fromiter(dirty, dtype=_np.int64,
                                      count=len(dirty))
             hit = _np.isin(pfns, dirty_arr)
-            # A freed region can span pages: re-check the misses whose
-            # physical range covers more than the probe page. The guest
-            # writes ``size``; no frame past RAM can be dirty, so clamping
-            # it to the RAM size keeps the selection and the int64 math.
-            offsets = (probe_va & (PAGE_SIZE - 1)).astype(_np.int64)
-            spans_bytes = _np.minimum(sizes, vmi.vm.memory.size)
-            last_pfns = pfns + ((offsets + spans_bytes.astype(_np.int64)
-                                 - 1) >> _PAGE_SHIFT)
+            # Re-check the freed misses whose range covers more than the
+            # probe frame.
             spans = checked & is_freed & ~hit & (last_pfns > pfns)
             if spans.any():
                 # Dirty frames in (probe frame, last frame] of each span.
@@ -124,16 +131,21 @@ class CanaryScanModule(ScanModule):
         sel = _np.nonzero(checked)[0]
         if not len(sel):
             return
-        # The physical address each selected entry's check starts at.
+        # The physical address each selected entry's check starts at, and
+        # the bytes it reads there: a canary's 8, a freed region's size.
         sel_pas = (pfns[sel] * PAGE_SIZE
                    + (probe_va[sel].astype(_np.int64) & (PAGE_SIZE - 1)))
         can_mask = is_canary[sel]
-        pas = sel_pas[can_mask]
+        sel_sizes = sizes[sel]
+        lengths = _np.where(can_mask, 8, sel_sizes)
         memory = vmi.vm.memory
-        if len(pas) and int(pas.max()) + 8 > memory.size:
-            # Degenerate gather (a canary hangs off the end of RAM):
-            # really read entry by entry, so the failing read raises at
-            # exactly its turn.
+        # Clamped to one past RAM: still past its end, and int64-safe.
+        ends = sel_pas + _np.minimum(lengths, memory.size + 1).astype(
+            _np.int64)
+        if int(ends.max()) > memory.size:
+            # Degenerate table (a canary or freed region runs past the end
+            # of RAM): really read entry by entry, so the failing read
+            # raises at exactly its turn.
             for pos, i in enumerate(sel.tolist()):
                 addr, size, pa = int(addrs[i]), int(sizes[i]), \
                     int(sel_pas[pos])
@@ -146,28 +158,33 @@ class CanaryScanModule(ScanModule):
                 if finding is not None:
                     findings.append(finding)
             return
-        # Gather every checked live-object canary in one vectorized read
-        # up front: the domain stays paused for the whole audit, so the
-        # bytes cannot change before each entry's turn in the charge
-        # order below. Each run of canaries between two freed-region
-        # checks is then one bulk charge, so the loop visits the (much
-        # rarer) freed checks only and the charges keep the table order.
-        ram = _np.frombuffer(memory.view(), dtype=_np.uint8)
+        # One charge for every selected entry, in table order. A faulted
+        # read raises after the checks before it were charged; those
+        # still count as checked.
+        try:
+            vmi.charge_canary_reads(sel_sizes, ~can_mask)
+        except IntrospectionError as err:
+            self._count_checked(can_mask[:err.reads_done])
+            raise
+        self._count_checked(can_mask)
+        # The domain stays paused for the whole audit, so the bytes the
+        # charge stands for are read straight from RAM afterwards: every
+        # canary in one vectorized gather, each freed region as one slice.
+        found = []  # (position in sel, finding): sorted to table order
+        view = memory.view()
+        freed = _np.flatnonzero(~can_mask)
+        for pos, addr, size, pa in zip(freed.tolist(),
+                                       addrs[sel[freed]].tolist(),
+                                       sel_sizes[freed].tolist(),
+                                       sel_pas[freed].tolist()):
+            data = view[pa:pa + size].tobytes()
+            if data.count(FREED_FILL_BYTE) != size:
+                found.append((pos, self._freed_finding(pid, addr, size, pa,
+                                                       data)))
+        pas = sel_pas[can_mask]
+        ram = _np.frombuffer(view, dtype=_np.uint8)
         values = (ram[pas[:, None] + _np.arange(8)]
                   .copy().view("<u8").ravel())
-        found = []  # (position in sel, finding): sorted to table order
-        start = 0
-        for pos in _np.flatnonzero(~can_mask).tolist():
-            if pos > start:
-                self._charge_canaries(vmi, pos - start)
-            start = pos + 1
-            i = sel[pos]
-            finding = self._validate_freed(context, pid, int(addrs[i]),
-                                           int(sizes[i]), int(sel_pas[pos]))
-            if finding is not None:
-                found.append((pos, finding))
-        if len(sel) > start:
-            self._charge_canaries(vmi, len(sel) - start)
         bad = values != expected
         for pos, value in zip(_np.flatnonzero(can_mask)[bad].tolist(),
                               values[bad].tolist()):
@@ -178,18 +195,11 @@ class CanaryScanModule(ScanModule):
         found.sort(key=lambda item: item[0])
         findings.extend(finding for _pos, finding in found)
 
-    def _charge_canaries(self, vmi, count):
-        """Charge ``count`` canary validations and count them.
-
-        A faulted read raises after the validations before it were
-        charged; those still count as checked.
-        """
-        try:
-            vmi.charge_canary_reads(count)
-        except IntrospectionError as err:
-            self.canaries_checked += err.reads_done
-            raise
-        self.canaries_checked += count
+    def _count_checked(self, can_mask):
+        """Count the canaries and freed regions of checked entries."""
+        canaries = int(can_mask.sum())
+        self.canaries_checked += canaries
+        self.freed_regions_checked += len(can_mask) - canaries
 
     # -- live-object canaries ----------------------------------------------
 
@@ -227,29 +237,34 @@ class CanaryScanModule(ScanModule):
         data = context.vmi.read_freed_region(pid, addr, size)
         self.freed_regions_checked += 1
         # Fast accept: bytes.count scans at C speed, so the (overwhelmingly
-        # common) intact region never pays the per-byte Python loop below.
+        # common) intact region never pays the per-byte search.
         if data.count(FREED_FILL_BYTE) == len(data):
             return None
-        for offset, value in enumerate(data):
-            if value != FREED_FILL_BYTE:
-                return Finding(
-                    self.name,
-                    "use-after-free",
-                    Severity.CRITICAL,
-                    "freed object 0x%x (pid %d) written after free: "
-                    "offset %d holds 0x%02x"
-                    % (addr, pid, offset, value),
-                    {
-                        "pid": pid,
-                        "object_addr": addr,
-                        "object_size": size,
-                        "write_offset": offset,
-                        "observed_byte": value,
-                        "canary_pa": region_pa + offset,
-                        "expected": None,
-                    },
-                )
-        return None
+        return self._freed_finding(pid, addr, size, region_pa, data)
+
+    def _freed_finding(self, pid, addr, size, region_pa, data):
+        """The finding for a freed region whose bytes ``data`` are not
+        all :data:`FREED_FILL_BYTE`: it names the first written byte."""
+        offset = next(offset for offset, value in enumerate(data)
+                      if value != FREED_FILL_BYTE)
+        value = data[offset]
+        return Finding(
+            self.name,
+            "use-after-free",
+            Severity.CRITICAL,
+            "freed object 0x%x (pid %d) written after free: "
+            "offset %d holds 0x%02x"
+            % (addr, pid, offset, value),
+            {
+                "pid": pid,
+                "object_addr": addr,
+                "object_size": size,
+                "write_offset": offset,
+                "observed_byte": value,
+                "canary_pa": region_pa + offset,
+                "expected": None,
+            },
+        )
 
     def replay_targets(self, finding):
         """Physical address to write-trap when replaying this finding."""

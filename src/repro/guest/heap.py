@@ -15,6 +15,8 @@ Detector looks for.
 
 import struct
 
+import numpy as _np
+
 from repro.errors import AllocationError, GuestFault
 from repro.guest.layout import StructDef
 
@@ -67,6 +69,10 @@ class CanaryHeap:
         self._cursor = base_va
         self._live = {}        # addr -> size
         self._table_index = {} # addr -> slot in the guest-memory table
+        #: The table entries exactly as this heap wrote them to guest
+        #: memory, slot by slot. With canaries enabled the snapshot is
+        #: this mirror, and both dicts above are derived from it.
+        self._table = bytearray()
         self._write_header()
 
     # -- guest-memory table maintenance ----------------------------------
@@ -89,12 +95,22 @@ class CanaryHeap:
         return self.table_va + CANARY_TABLE_HEADER.size + index * CANARY_ENTRY.size
 
     def _write_entry(self, index, addr, size, kind=KIND_CANARY):
-        self.process.write(
-            self._entry_va(index),
-            CANARY_ENTRY.encode(
-                {"addr": addr, "size": size, "kind": kind, "pad": 0}
-            ),
-        )
+        entry = CANARY_ENTRY.encode(
+            {"addr": addr, "size": size, "kind": kind, "pad": 0})
+        offset = index * CANARY_ENTRY.size
+        # Overwrites slot ``index``, or appends when it is the next slot.
+        self._table[offset : offset + CANARY_ENTRY.size] = entry
+        self.process.write(self._entry_va(index), entry)
+
+    def _entry(self, index):
+        """``(addr, size, kind)`` of table slot ``index``, from the mirror.
+
+        Never read back from guest memory: the guest can store to its
+        table, and the heap's own index must not follow such a store.
+        """
+        addr, size, kind, _pad = CANARY_ENTRY.unpack(
+            self._table, index * CANARY_ENTRY.size)
+        return addr, size, kind
 
     def _set_count(self, count):
         self.process.write(
@@ -115,13 +131,8 @@ class CanaryHeap:
             # A stale tripwire at the same address (e.g. an abandoned
             # stack frame whose slot is being reused): replace it rather
             # than corrupt the index with a duplicate.
-            stale = CANARY_ENTRY.decode(
-                self.process.read(
-                    self._entry_va(self._table_index[addr]),
-                    CANARY_ENTRY.size,
-                )
-            )
-            self.unregister_canary(addr, stale["size"], validate=False)
+            _addr, stale_size, _kind = self._entry(self._table_index[addr])
+            self.unregister_canary(addr, stale_size, validate=False)
         if len(self._table_index) >= self.table_capacity:
             raise AllocationError(
                 "canary table full (%d entries)" % self.table_capacity
@@ -144,12 +155,10 @@ class CanaryHeap:
         # Swap-with-last keeps the guest-memory table densely packed.
         last_index = len(self._table_index)
         if index != last_index:
-            moved = CANARY_ENTRY.decode(
-                self.process.read(self._entry_va(last_index), CANARY_ENTRY.size)
-            )
-            self._write_entry(index, moved["addr"], moved["size"],
-                              kind=moved["kind"])
-            self._table_index[moved["addr"]] = index
+            moved_addr, moved_size, moved_kind = self._entry(last_index)
+            self._write_entry(index, moved_addr, moved_size, kind=moved_kind)
+            self._table_index[moved_addr] = index
+        del self._table[last_index * CANARY_ENTRY.size :]
         self._set_count(len(self._table_index))
         if validate and stored != self.canary_value:
             raise GuestFault(
@@ -169,10 +178,11 @@ class CanaryHeap:
             raise AllocationError(
                 "heap exhausted: %d-byte allocation does not fit" % size
             )
+        if self.canaries_enabled:
+            # First, so a full table leaves the heap as it was.
+            self.register_canary(start, size)
         self._cursor = start + footprint
         self._live[start] = size
-        if self.canaries_enabled:
-            self.register_canary(start, size)
         return start
 
     def free(self, addr):
@@ -213,12 +223,14 @@ class CanaryHeap:
 
     # -- snapshot ---------------------------------------------------------
 
-    # ``copy()``, not ``dict()``: both maps take deletions (free, the
-    # table's swap-with-last), and CPython still clones such a dict with
-    # one memcpy where ``dict(d)`` re-inserts every key.
-
     def state_dict(self):
-        return {
+        """The heap's scalars plus its bookkeeping as immutable leaves.
+
+        With canaries enabled that bookkeeping is the table mirror, one
+        ``bytes`` copy however many objects are live; without them it is
+        the ``addr -> size`` map of live objects.
+        """
+        state = {
             "base_va": self.base_va,
             "size": self.size,
             "table_va": self.table_va,
@@ -226,9 +238,12 @@ class CanaryHeap:
             "canary_value": self.canary_value,
             "canaries_enabled": self.canaries_enabled,
             "cursor": self._cursor,
-            "live": self._live.copy(),
-            "table_index": self._table_index.copy(),
         }
+        if self.canaries_enabled:
+            state["table"] = bytes(self._table)
+        else:
+            state["live"] = self._live.copy()
+        return state
 
     def load_state_dict(self, state):
         self.base_va = state["base_va"]
@@ -238,8 +253,22 @@ class CanaryHeap:
         self.canary_value = state["canary_value"]
         self.canaries_enabled = state["canaries_enabled"]
         self._cursor = state["cursor"]
-        self._live = state["live"].copy()
-        self._table_index = state["table_index"].copy()
+        if not self.canaries_enabled:
+            self._table = bytearray()
+            self._table_index = {}
+            self._live = state["live"].copy()
+            return
+        table = state["table"]
+        self._table = bytearray(table)
+        records = _np.frombuffer(table, dtype=CANARY_ENTRY.numpy_dtype())
+        addrs = records["addr"]
+        self._table_index = dict(zip(addrs.tolist(), range(len(records))))
+        # Every live object has a canary entry inside the heap; stack-guard
+        # canaries share the table but lie outside it.
+        live = ((records["kind"] == KIND_CANARY) & (addrs >= self.base_va)
+                & (addrs < self.base_va + self.size))
+        self._live = dict(zip(addrs[live].tolist(),
+                              records["size"][live].tolist()))
 
     @classmethod
     def from_state(cls, process, state):

@@ -20,18 +20,18 @@ class PageTable:
 
     def __init__(self):
         self._entries = {}
-        #: ``(vpns, pfns)`` as VPN-sorted int64 arrays for bulk lookups:
-        #: derived from ``_entries``, dropped by every change to it and
-        #: never part of :meth:`state_dict`.
-        self._arrays = None
+        #: The maximal runs of consecutive mapped VPNs, for bulk lookups
+        #: (see :meth:`_build_runs`): derived from ``_entries``, dropped
+        #: by every change to it and never part of :meth:`state_dict`.
+        self._runs = None
 
     def map(self, vpn, pfn, writable=True):
         self._entries[vpn] = (pfn, writable)
-        self._arrays = None
+        self._runs = None
 
     def unmap(self, vpn):
         self._entries.pop(vpn, None)
-        self._arrays = None
+        self._runs = None
 
     def translate(self, vaddr):
         """Translate a virtual address to a physical address."""
@@ -60,28 +60,48 @@ class PageTable:
     def frames_of(self, vpns):
         """The frame behind each VPN of the int64 array ``vpns``.
 
-        One ``searchsorted`` over the cached sorted arrays; -1 marks a
+        One ``searchsorted`` over the start VPNs of the table's runs of
+        consecutive pages, so the cost per VPN follows the number of runs
+        (a handful per address space), not of mapped pages; -1 marks a
         VPN with no mapping.
         """
-        if self._arrays is None:
-            count = len(self._entries)
-            keys = _np.fromiter(self._entries, dtype=_np.int64, count=count)
-            frames = _np.fromiter((pfn for pfn, _ in self._entries.values()),
-                                  dtype=_np.int64, count=count)
-            order = _np.argsort(keys)
-            self._arrays = (keys[order], frames[order])
-        keys, frames = self._arrays
-        if not len(keys):
-            return _np.full(len(vpns), -1, dtype=_np.int64)
-        slots = _np.minimum(_np.searchsorted(keys, vpns), len(keys) - 1)
-        return _np.where(keys[slots] == vpns, frames[slots], -1)
+        if self._runs is None:
+            self._runs = self._build_runs()
+        starts, ends, shifts, frames = self._runs
+        run = _np.searchsorted(starts, vpns, "right") - 1
+        slot = _np.where(vpns < ends[run], vpns + shifts[run], -1)
+        return frames[slot]
+
+    def _build_runs(self):
+        """``(starts, ends, shifts, frames)`` over the runs of this table.
+
+        Run ``r`` maps VPNs ``[starts[r], ends[r])`` to
+        ``frames[vpn + shifts[r]]``. Run 0 is an empty sentinel below
+        every VPN, so each VPN lands in some run, and ``frames`` ends in
+        a -1 that unmapped VPNs index.
+        """
+        count = len(self._entries)
+        vpns = _np.fromiter(self._entries, dtype=_np.int64, count=count)
+        pfns = _np.fromiter((pfn for pfn, _ in self._entries.values()),
+                            dtype=_np.int64, count=count)
+        order = _np.argsort(vpns)
+        vpns, pfns = vpns[order], pfns[order]
+        # Positions (in VPN order) of the first and the last page of each
+        # run: where the step from the previous / to the next VPN is not 1.
+        firsts = _np.flatnonzero(_np.diff(vpns, prepend=vpns[:1] - 2) != 1)
+        lasts = _np.flatnonzero(_np.diff(vpns, append=vpns[-1:] + 2) != 1)
+        sentinel = _np.iinfo(_np.int64).min
+        starts = _np.concatenate(([sentinel], vpns[firsts]))
+        ends = _np.concatenate(([sentinel], vpns[lasts] + 1))
+        shifts = _np.concatenate(([0], firsts - vpns[firsts]))
+        return starts, ends, shifts, _np.append(pfns, -1)
 
     def state_dict(self):
         return {"entries": self._entries.copy()}
 
     def load_state_dict(self, state):
         self._entries = state["entries"].copy()
-        self._arrays = None
+        self._runs = None
 
 
 def kernel_va(paddr):

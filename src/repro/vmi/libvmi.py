@@ -461,15 +461,18 @@ class VMIInstance:
         self._charge_us(self.costs.PER_CANARY_US)
         return struct.unpack("<Q", raw)[0]
 
-    def charge_canary_reads(self, count):
-        """Charge ``count`` canary validations without moving the bytes.
+    def charge_canary_reads(self, sizes, freed):
+        """Charge one tripwire validation per entry without moving bytes.
 
-        Per validation this is draw-for-draw the virtual time of
-        :meth:`read_canary_value`: the cache-line read charge, the
-        per-mapping fault probe, then the per-canary charge, added to
-        the accumulator in that order. The canary scan pairs this with
-        one vectorized gather of the canary values, so a dirty epoch's
-        thousands of validations stop paying the per-call read plumbing.
+        Entry i is draw-for-draw the virtual time of
+        :meth:`read_canary_value` or, where ``freed[i]``, of
+        :meth:`read_freed_region` over ``sizes[i]`` bytes: the read
+        charge with its cache-line minimum, the per-mapping fault probe,
+        then the per-canary charge (once for a canary, once per 8 bytes
+        and at least once for a freed region), added to the accumulator
+        in that order. The canary scan pairs this with its own reads of
+        the bytes, so a dirty epoch's thousands of validations stop
+        paying the per-call read plumbing.
 
         The charge is computed in bulk. The 2n jitter draws come from one
         :meth:`SeededStream.randoms` call, each term is ``jitter``'s own
@@ -483,9 +486,12 @@ class VMIInstance:
         every read before k and read k's read charge — and the error
         raises with ``reads_done`` = k.
         """
-        read_ms = (self.costs.PER_PAGE_READ_US * max(8, 64)
-                   / float(PAGE_SIZE)) / 1000.0
-        canary_ms = self.costs.PER_CANARY_US / 1000.0
+        read_bytes = _np.where(freed, sizes, 8)
+        units = _np.where(freed, _np.maximum(sizes // 8, 1), 1)
+        read_ms = (self.costs.PER_PAGE_READ_US * _np.maximum(read_bytes, 64)
+                   / float(PAGE_SIZE) / 1000.0)
+        check_ms = self.costs.PER_CANARY_US * units / 1000.0
+        count = len(read_ms)
         fault = self._armed_read_fault()
         reads, error = count, None
         if fault is not None and fault.mode != "latency":
@@ -495,11 +501,13 @@ class VMIInstance:
                 except IntrospectionError as err:
                     reads, error = k, err
                     break
-        # The accumulator, then each read's read and canary terms.
-        terms = _np.empty(1 + 2 * reads + (error is not None))
+        # The accumulator, then each read's read and check terms; a raise
+        # at read k charges read k's read term too.
+        charged = reads + (error is not None)
+        terms = _np.empty(1 + charged + reads)
         terms[0] = self._cost_ms
-        terms[1::2] = read_ms
-        terms[2::2] = canary_ms
+        terms[1::2] = read_ms[:charged]
+        terms[2::2] = check_ms[:reads]
         fraction = self.costs.JITTER
         if fraction > 0:
             lo, hi = 1.0 - fraction, 1.0 + fraction

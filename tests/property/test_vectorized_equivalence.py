@@ -101,15 +101,21 @@ def test_struct_decoders_agree(example):
 
 @st.composite
 def _heap_scenario(draw):
-    sizes = draw(st.lists(st.integers(8, 160), min_size=0, max_size=80))
+    # Mostly small objects; some span up to three pages, so their freed
+    # regions reach pages past the probe page.
+    sizes = draw(st.lists(
+        st.one_of(st.integers(8, 160), st.integers(1, 3 * PAGE_SIZE)),
+        min_size=0, max_size=80))
     n = len(sizes)
     index = st.integers(0, max(n - 1, 0))
     freed = draw(st.sets(index, max_size=n // 3))
     clobbered = draw(st.sets(index, max_size=min(n, 4))) - freed
     if freed:
         scribbled = draw(st.sets(st.sampled_from(sorted(freed)), max_size=3))
+        # A hostile freed entry: its size rewritten to 0.
+        zeroed = draw(st.sets(st.sampled_from(sorted(freed)), max_size=1))
     else:
-        scribbled = set()
+        scribbled = zeroed = set()
     # Hostile table entries: an object address rewritten to a user page
     # the process never mapped, or to a kernel direct-map alias of a
     # heap byte, or an entry whose addr + size wraps past 2^64 onto a
@@ -127,9 +133,11 @@ def _heap_scenario(draw):
         "freed": sorted(freed),
         "clobbered": sorted(clobbered),
         "scribbled": sorted(scribbled),
+        "zeroed": sorted(zeroed),
         "corrupted": corrupted,
         "dirty_salt": dirty_salt,
         "dirty_pct": dirty_pct,
+        "dirty_pages": None,
         "scan_all": scan_all,
         "jitter": jitter,
     }
@@ -157,12 +165,19 @@ def _scan_once(scenario, module, injector=None):
         # Overwrite the live object's trailing canary in place.
         process.write(addrs[index] + scenario["sizes"][index], b"\xee" * 8)
     for index in scenario["scribbled"]:
-        # A dangling write into the freed region's poison fill.
-        process.write(addrs[index], b"Z")
+        # A dangling write into the freed region's poison fill (any byte
+        # but FREED_FILL_BYTE, 0x5A).
+        process.write(addrs[index], b"!")
     heap_base, _heap_end = process.region_range("heap")
+    for index in scenario["zeroed"]:
+        slot = process.heap._table_index[addrs[index]]
+        process.write_u64(process.heap.table_va + CANARY_TABLE_HEADER.size
+                          + slot * CANARY_ENTRY.size
+                          + CANARY_ENTRY.offset_of("size"), 0)
     for index, target, offset in scenario["corrupted"]:
-        # Entry ``index`` belongs to the index-th allocation: entries are
-        # appended by malloc and converted in place by free.
+        # Entry ``index`` is table slot ``index``: malloc appends, and free
+        # moves the last entry into the freed slot, then appends the freed
+        # region's entry.
         entry_va = (process.heap.table_va + CANARY_TABLE_HEADER.size
                     + index * CANARY_ENTRY.size)
         if target == "unmapped":
@@ -180,6 +195,10 @@ def _scan_once(scenario, module, injector=None):
                       cost_model=VmiCostModel(JITTER=scenario["jitter"]))
     if scenario["scan_all"]:
         dirty = None
+    elif scenario["dirty_pages"] is not None:
+        # Exactly these pages of the heap, by index.
+        dirty = {vmi.translate(heap_base + page * PAGE_SIZE, pid=process.pid)
+                 // PAGE_SIZE for page in scenario["dirty_pages"]}
     else:
         # A deterministic pseudo-random subset of the heap's frames;
         # translate() is uncharged, so deriving it cannot move the clock.
@@ -211,8 +230,9 @@ def _scan_once(scenario, module, injector=None):
 def _scenario(sizes, **overrides):
     """A fixed heap scenario (the explicit small-table examples)."""
     scenario = {"sizes": sizes, "freed": [], "clobbered": [],
-                "scribbled": [], "corrupted": [], "dirty_salt": 0,
-                "dirty_pct": 100, "scan_all": False, "jitter": 0.03}
+                "scribbled": [], "zeroed": [], "corrupted": [],
+                "dirty_salt": 0, "dirty_pct": 100, "dirty_pages": None,
+                "scan_all": False, "jitter": 0.03}
     scenario.update(overrides)
     return scenario
 
@@ -227,6 +247,12 @@ def _scenario(sizes, **overrides):
 # offset 32 + 32).
 @example(scenario=_scenario([16, 32], clobbered=[1],
                             corrupted=[(0, "wrap", 64)]))
+# Object 1 spans heap pages 0 and 1 and is written after free at its
+# first byte; only page 1 is dirty, so only the span re-check selects it.
+@example(scenario=_scenario([3000, 3000, 16], freed=[1], scribbled=[1],
+                            dirty_pages=[1]))
+# A freed entry of size 0 at the page-aligned heap base.
+@example(scenario=_scenario([16, 32], freed=[0], zeroed=[0]))
 def test_slab_canary_scan_matches_seed_loop(scenario):
     """Same findings, same counters, bit-identical charged time."""
     fast = _scan_once(scenario, CanaryScanModule())
@@ -336,6 +362,9 @@ def test_planned_read_fault_matches_seed_loop(scenario, schedule):
        shots=st.integers(1, 3))
 @example(scenario=_scenario([16] * 40), skip=30, shots=1)
 @example(scenario=_scenario([16, 24, 32], freed=[1]), skip=4, shots=2)
+# Four reads before the entries (directory and table), then five
+# canaries; the fault fires at the freed region's read after them.
+@example(scenario=_scenario([16] * 6, freed=[2]), skip=9, shots=1)
 def test_mid_scan_fail_fault_raises_like_seed_loop(scenario, skip, shots):
     """A fail fault landing at any read — including inside a bulk run of
     canary charges — raises at the same read, with the same canaries

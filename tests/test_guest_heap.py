@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AllocationError, GuestFault
-from repro.guest.heap import CANARY_TABLE_HEADER, CanaryHeap
+from repro.guest.heap import CANARY_ENTRY, CANARY_TABLE_HEADER, CanaryHeap
 from repro.guest.linux import LinuxGuest
 
 
@@ -95,6 +95,123 @@ def test_state_roundtrip_preserves_bookkeeping(process):
     process.heap.load_state_dict(state)
     assert process.heap.allocation_size(a) == 24
     assert len(process.heap.live_allocations()) == 1
+
+
+def test_failed_malloc_leaves_the_heap_unchanged():
+    vm = LinuxGuest(name="heap-full", memory_bytes=8 * 1024 * 1024, seed=5)
+    process = vm.create_process("full", canary_capacity=4)
+    heap = process.heap
+    objects = [process.malloc(32) for _ in range(4)]
+    used = heap.bytes_used()
+    table = process.read(heap.table_va,
+                         CANARY_TABLE_HEADER.size + 4 * CANARY_ENTRY.size)
+    with pytest.raises(AllocationError, match="canary table full"):
+        process.malloc(32)
+    # No ghost object: the cursor, the live set and the table are as
+    # they were, and the four objects still free cleanly.
+    assert heap.live_allocations() == dict.fromkeys(objects, 32)
+    assert heap.bytes_used() == used
+    assert process.read(heap.table_va, len(table)) == table
+    for addr in objects:
+        process.free(addr)
+
+
+def _table_slots(heap):
+    return sorted(heap._table_index.values())
+
+
+def _bookkeeping(process):
+    heap = process.heap
+    count = len(heap._table_index)
+    return (heap.live_allocations(), dict(heap._table_index),
+            heap.bytes_used(),
+            process.read(heap.table_va,
+                         CANARY_TABLE_HEADER.size + count * CANARY_ENTRY.size))
+
+
+def test_bookkeeping_survives_a_rollback():
+    vm = LinuxGuest(name="heap-rollback", memory_bytes=8 * 1024 * 1024,
+                    seed=5)
+    process = vm.create_process("rollback", canary_capacity=64)
+    heap = process.heap
+    objects = [process.malloc(24 + 8 * i) for i in range(8)]
+    # Each free swaps the last entry into the freed object's slot, then
+    # appends the freed-region entry.
+    process.free(objects[2])
+    process.free(objects[5])
+    process.stack_guard.push_frame(48)
+    process.stack_guard.push_frame(16)
+    # A removal that nothing replaces: the table shrinks by one.
+    process.stack_guard.push_frame(32)
+    process.stack_guard.pop_frame()
+    sizes = {addr: heap.allocation_size(addr)
+             for addr in heap.live_allocations()}
+    snapshot = vm.snapshot()
+    taken = _bookkeeping(process)
+    assert len(taken[0]) == 6 and len(taken[1]) == 10
+
+    def next_pair():
+        addr = process.malloc(40)
+        process.free(objects[0])
+        return addr, _bookkeeping(process)
+
+    expected = next_pair()
+    vm.restore(snapshot)
+    assert _bookkeeping(process) == taken
+    for step in range(5):
+        process.malloc(16 + step)
+    process.free(objects[1])
+    process.free(objects[7])
+    process.stack_guard.pop_frame()
+    process.stack_guard.push_frame(80)
+    vm.restore(snapshot)
+
+    assert _bookkeeping(process) == taken
+    for addr, size in sizes.items():
+        assert heap.allocation_size(addr) == size
+    assert _table_slots(heap) == list(range(10))
+    assert next_pair() == expected
+
+
+def test_guest_store_to_the_table_cannot_steer_the_heap_index():
+    vm = LinuxGuest(name="heap-hostile", memory_bytes=8 * 1024 * 1024,
+                    seed=5)
+    process = vm.create_process("hostile", canary_capacity=64)
+    heap = process.heap
+    objects = [process.malloc(32) for _ in range(6)]
+    last_entry_va = (heap.table_va + CANARY_TABLE_HEADER.size
+                     + 5 * CANARY_ENTRY.size)
+    # The guest rewrites the table's last entry to name a live object.
+    process.write_u64(last_entry_va + CANARY_ENTRY.offset_of("addr"),
+                      objects[1])
+    process.free(objects[3])
+    assert _table_slots(heap) == list(range(len(heap._table_index)))
+    assert sorted(heap._table_index) == sorted(objects)
+    assert heap.live_allocations() == dict.fromkeys(
+        objects[:3] + objects[4:], 32)
+
+
+def _python_objects(value):
+    """How many Python objects ``value`` holds, itself included."""
+    if isinstance(value, dict):
+        return 1 + sum(_python_objects(key) + _python_objects(item)
+                       for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return 1 + sum(_python_objects(item) for item in value)
+    return 1
+
+
+def test_canary_heap_snapshot_does_not_grow_with_live_objects():
+    counts = []
+    for live in (10, 10_000):
+        vm = LinuxGuest(name="heap-snapshot", memory_bytes=16 * 1024 * 1024,
+                        seed=5)
+        process = vm.create_process("many", heap_pages=80,
+                                    canary_capacity=10_000)
+        for _ in range(live):
+            process.malloc(16)
+        counts.append(_python_objects(process.heap.state_dict()))
+    assert counts[0] == counts[1]
 
 
 def test_canaries_disabled_mode():

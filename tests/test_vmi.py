@@ -1,5 +1,6 @@
 """Unit tests for the LibVMI-alike introspection layer."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -151,6 +152,10 @@ def _translate_each(vmi, vpns, pid):
     return frames
 
 
+#: A user page far from every region the process maps.
+_FAR_VPN = 2 ** 35 + 7
+
+
 @settings(max_examples=25, deadline=None)
 @given(picks=_VPN_ARRAYS)
 def test_translate_pages_matches_translate(picks):
@@ -159,8 +164,11 @@ def test_translate_pages_matches_translate(picks):
     vmi = VMIInstance(Hypervisor(clock=vm.clock).create_domain(vm), seed=4)
     pid = vm.create_process("subject", heap_pages=8).pid
     clean = vm.state_dict()
-    # The pages the table changes below are always probed.
-    vpns = picks + [_HEAP_VPN - 1, _HEAP_VPN + 1]
+    # The pages the table changes below, and their neighbours, are always
+    # probed. The heap run is VPNs [_HEAP_VPN, _HEAP_VPN + 8).
+    changed = (_HEAP_VPN - 1, _HEAP_VPN + 1, _HEAP_VPN + 4, _HEAP_VPN + 8,
+               _FAR_VPN)
+    vpns = picks + [vpn + step for vpn in changed for step in (-1, 0, 1)]
 
     def check():
         for who in (pid, 0, 424242):
@@ -173,10 +181,23 @@ def test_translate_pages_matches_translate(picks):
     check()
     table.unmap(_HEAP_VPN + 1)
     check()
+    table.unmap(_HEAP_VPN + 4)  # splits the heap run in the middle
+    check()
+    table.map(_HEAP_VPN + 8, 901)  # extends the run past its end
+    check()
+    # Two VPNs onto one frame.
+    table.map(_HEAP_VPN + 1, table.frame_of((_HEAP_VPN + 2) * PAGE_SIZE))
+    check()
+    table.map(_FAR_VPN, 902)  # a run of one page, far from the rest
+    check()
     vm.load_state_dict(clean)  # a rollback
     check()
+    process = vm.processes[pid]
     vm.exit_process(pid)  # release_frames
     check()
+    # The released table is empty: every VPN misses.
+    assert process.page_table.frames_of(
+        np.asarray(vpns, dtype=np.int64)).tolist() == [-1] * len(vpns)
     vm.load_state_dict(clean)
     check()
 
