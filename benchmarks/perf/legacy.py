@@ -173,6 +173,7 @@ from repro.errors import IntrospectionError  # noqa: E402
 from repro.guest.heap import CANARY_ENTRY, CANARY_TABLE_HEADER, \
     CANARY_TABLE_MAGIC  # noqa: E402
 from repro.guest.layout import cstring  # noqa: E402
+from repro.guest.pagetable import KERNEL_BASE  # noqa: E402
 from repro.vmi.libvmi import VMIInstance, ProcessInfo  # noqa: E402
 from repro.vmi.walk import MAX_NODES  # noqa: E402
 
@@ -305,17 +306,44 @@ class LegacyCanaryScanModule(CanaryScanModule):
     def _check_freed(self, context, pid, addr, size):
         vmi = context.vmi
         try:
-            region_pa = vmi.translate(addr, pid=pid)
+            vmi.translate(addr, pid=pid)
         except IntrospectionError:
             return None
         if not self.scan_all_pages:
-            # Skip unless some page of the region was dirtied this epoch.
-            first = region_pa // PAGE_SIZE
-            last = (region_pa + size - 1) // PAGE_SIZE
+            # Skip unless a frame the region's pages map to was dirtied
+            # this epoch.
             if not any(context.page_is_dirty(pfn)
-                       for pfn in range(first, last + 1)):
+                       for pfn in _region_frames(vmi, pid, addr, size)):
                 return None
-        return self._validate_freed(context, pid, addr, size, region_pa)
+        return self._validate_freed(context, pid, addr, size)
+
+
+def _region_frames(vmi, pid, addr, size):
+    """The frames the pages of ``[addr, addr + size - 1]`` map to.
+
+    For a user region, those of its pages mapped below the kernel direct
+    map, in page order; for a kernel region, its direct-map frames up to
+    the end of RAM, at least the first (no frame past RAM is ever
+    dirty, so none further can select it).
+    """
+    first = addr // PAGE_SIZE
+    last = (addr + size - 1) // PAGE_SIZE
+    if addr >= KERNEL_BASE:
+        frame = first - KERNEL_BASE // PAGE_SIZE
+        if last < first:
+            return []
+        stop = min(last - KERNEL_BASE // PAGE_SIZE + 1,
+                   vmi.vm.memory.frame_count)
+        return range(frame, max(stop, frame + 1))
+    pages = vmi.vm.processes[pid].page_table
+    top = min(last, KERNEL_BASE // PAGE_SIZE - 1)
+    if top - first < 64:
+        vpns = range(first, top + 1)
+    else:
+        # A wide (hostile) range: walk the mapped pages instead.
+        vpns = [vpn for vpn in pages.mapped_vpns() if first <= vpn <= top]
+    return [pages.frame_of(vpn * PAGE_SIZE) for vpn in vpns
+            if pages.is_mapped(vpn * PAGE_SIZE)]
 
 
 class LegacyCrimes(Crimes):

@@ -67,11 +67,14 @@ class CanaryHeap:
         self.canary_value = canary_value
         self.canaries_enabled = canaries_enabled
         self._cursor = base_va
-        self._live = {}        # addr -> size
+        #: addr -> size of the live objects, with canaries disabled only:
+        #: a canary heap reads them off its table mirror (a live object
+        #: is a canary entry inside the heap range).
+        self._live = None if canaries_enabled else {}
         self._table_index = {} # addr -> slot in the guest-memory table
         #: The table entries exactly as this heap wrote them to guest
         #: memory, slot by slot. With canaries enabled the snapshot is
-        #: this mirror, and both dicts above are derived from it.
+        #: this mirror, and the index above is derived from it.
         self._table = bytearray()
         self._write_header()
 
@@ -181,8 +184,9 @@ class CanaryHeap:
         if self.canaries_enabled:
             # First, so a full table leaves the heap as it was.
             self.register_canary(start, size)
+        else:
+            self._live[start] = size
         self._cursor = start + footprint
-        self._live[start] = size
         return start
 
     def free(self, addr):
@@ -194,10 +198,11 @@ class CanaryHeap:
         pointer disturbs the fill pattern and the end-of-epoch scan sees
         it.
         """
-        size = self._live.pop(addr, None)
+        size = self._live_size(addr)
         if size is None:
             raise GuestFault("free of unallocated address 0x%x" % addr)
         if not self.canaries_enabled:
+            del self._live[addr]
             return
         try:
             self.unregister_canary(addr, size)
@@ -208,15 +213,38 @@ class CanaryHeap:
         self.process.write(addr, bytes([FREED_FILL_BYTE]) * size)
         self.register_canary(addr, size, kind=KIND_FREED)
 
+    def _live_size(self, addr):
+        """The size of live object ``addr``, or None: never allocated,
+        already freed, or a stack-guard canary sharing the table."""
+        if not self.canaries_enabled:
+            return self._live.get(addr)
+        index = self._table_index.get(addr)
+        if index is None or not self.base_va <= addr < self.base_va + self.size:
+            return None
+        _addr, size, kind = self._entry(index)
+        return size if kind == KIND_CANARY else None
+
     def allocation_size(self, addr):
         """Size of a live allocation (used by the ASan baseline's checker)."""
-        size = self._live.get(addr)
+        size = self._live_size(addr)
         if size is None:
             raise GuestFault("0x%x is not a live allocation" % addr)
         return size
 
     def live_allocations(self):
-        return dict(self._live)
+        """``{addr: size}`` of every live object."""
+        if not self.canaries_enabled:
+            return dict(self._live)
+        records = self._records()
+        addrs = records["addr"]
+        live = ((records["kind"] == KIND_CANARY) & (addrs >= self.base_va)
+                & (addrs < self.base_va + self.size))
+        return dict(zip(addrs[live].tolist(), records["size"][live].tolist()))
+
+    def _records(self):
+        """The table mirror decoded, one numpy record per slot."""
+        return _np.frombuffer(bytes(self._table),
+                              dtype=CANARY_ENTRY.numpy_dtype())
 
     def bytes_used(self):
         return self._cursor - self.base_va
@@ -258,17 +286,10 @@ class CanaryHeap:
             self._table_index = {}
             self._live = state["live"].copy()
             return
-        table = state["table"]
-        self._table = bytearray(table)
-        records = _np.frombuffer(table, dtype=CANARY_ENTRY.numpy_dtype())
-        addrs = records["addr"]
-        self._table_index = dict(zip(addrs.tolist(), range(len(records))))
-        # Every live object has a canary entry inside the heap; stack-guard
-        # canaries share the table but lie outside it.
-        live = ((records["kind"] == KIND_CANARY) & (addrs >= self.base_va)
-                & (addrs < self.base_va + self.size))
-        self._live = dict(zip(addrs[live].tolist(),
-                              records["size"][live].tolist()))
+        self._table = bytearray(state["table"])
+        self._live = None
+        addrs = self._records()["addr"]
+        self._table_index = dict(zip(addrs.tolist(), range(len(addrs))))
 
     @classmethod
     def from_state(cls, process, state):

@@ -86,6 +86,23 @@ class PhysicalMemory:
         # first would copy twice).
         return memoryview(self._ram)[paddr:end].tobytes()
 
+    def read_frames(self, frames, offset, length):
+        """``length`` bytes of a range laid out one page per frame.
+
+        The range starts ``offset`` bytes into ``frames[0]`` and runs on
+        at the start of ``frames[1]``, ``frames[2]``, ...: what a load
+        through a page table sees when the pages of a virtual range sit
+        on frames that need not be adjacent.
+        """
+        first = PAGE_SIZE - offset
+        parts = [self.read(int(frames[0]) * PAGE_SIZE + offset,
+                           min(first, length))]
+        for index, pfn in enumerate(frames[1:].tolist()):
+            done = first + index * PAGE_SIZE
+            parts.append(self.read(pfn * PAGE_SIZE,
+                                   min(PAGE_SIZE, length - done)))
+        return b"".join(parts)
+
     def write(self, paddr, data):
         """Write ``data`` at physical address ``paddr``, marking frames dirty."""
         length = len(data)

@@ -20,18 +20,28 @@ class PageTable:
 
     def __init__(self):
         self._entries = {}
-        #: The maximal runs of consecutive mapped VPNs, for bulk lookups
-        #: (see :meth:`_build_runs`): derived from ``_entries``, dropped
-        #: by every change to it and never part of :meth:`state_dict`.
+        #: The maximal runs of consecutive VPNs on adjacent frames, for
+        #: bulk lookups (see :meth:`_build_runs`): derived from
+        #: ``_entries``, dropped by every change to it and never part of
+        #: :meth:`state_dict`.
         self._runs = None
+        #: Bumped by every change to the mapping (``map``, ``unmap``, and
+        #: a ``load_state_dict`` of another mapping): a consumer that
+        #: derived something from this table compares generations to know
+        #: it is still current.
+        self.generation = 0
+
+    def _changed(self):
+        self._runs = None
+        self.generation += 1
 
     def map(self, vpn, pfn, writable=True):
         self._entries[vpn] = (pfn, writable)
-        self._runs = None
+        self._changed()
 
     def unmap(self, vpn):
         self._entries.pop(vpn, None)
-        self._runs = None
+        self._changed()
 
     def translate(self, vaddr):
         """Translate a virtual address to a physical address."""
@@ -60,20 +70,51 @@ class PageTable:
     def frames_of(self, vpns):
         """The frame behind each VPN of the int64 array ``vpns``.
 
-        One ``searchsorted`` over the start VPNs of the table's runs of
-        consecutive pages, so the cost per VPN follows the number of runs
-        (a handful per address space), not of mapped pages; -1 marks a
-        VPN with no mapping.
+        One ``searchsorted`` over the start VPNs of the table's runs, so
+        the cost per VPN follows the number of runs (a handful per address
+        space whose frames were handed out in order), not of mapped pages;
+        -1 marks a VPN with no mapping.
         """
-        if self._runs is None:
-            self._runs = self._build_runs()
-        starts, ends, shifts, frames = self._runs
+        starts, ends, shifts, frames = self._lookup()
         run = _np.searchsorted(starts, vpns, "right") - 1
         slot = _np.where(vpns < ends[run], vpns + shifts[run], -1)
         return frames[slot]
 
+    def ranges(self, firsts, lasts):
+        """Where each range of pages ``[firsts[i], lasts[i]]`` lies, over
+        int64 arrays with ``lasts >= firsts``, with two lookups like the
+        one of :meth:`frames_of`.
+
+        Returns ``(below, above, contiguous)``: the mapped pages of a
+        range are those of ranks ``[below, above)`` in VPN order, so
+        their frames are ``mapped_frames()[below:above]`` and the range
+        is mapped throughout exactly when ``above - below`` is its page
+        count; ``contiguous`` is True where every page of the range is
+        mapped, onto ascending adjacent frames (one run).
+        """
+        starts, ends, shifts, _frames = self._lookup()
+        run = _np.searchsorted(starts, firsts, "right") - 1
+        below = _np.where(run > 0, _np.minimum(firsts, ends[run])
+                          + shifts[run], 0)
+        after = lasts + 1
+        run_after = _np.searchsorted(starts, after, "right") - 1
+        above = _np.where(run_after > 0, _np.minimum(after, ends[run_after])
+                          + shifts[run_after], 0)
+        return below, above, lasts < ends[run]
+
+    def mapped_frames(self):
+        """The frame of every mapped page, in VPN order (read-only)."""
+        return self._lookup()[3][:-1]
+
+    def _lookup(self):
+        if self._runs is None:
+            self._runs = self._build_runs()
+        return self._runs
+
     def _build_runs(self):
-        """``(starts, ends, shifts, frames)`` over the runs of this table.
+        """``(starts, ends, shifts, frames)`` over the runs of this table:
+        its maximal ranges of consecutive VPNs mapped onto adjacent
+        frames, ascending.
 
         Run ``r`` maps VPNs ``[starts[r], ends[r])`` to
         ``frames[vpn + shifts[r]]``. Run 0 is an empty sentinel below
@@ -86,22 +127,29 @@ class PageTable:
                             dtype=_np.int64, count=count)
         order = _np.argsort(vpns)
         vpns, pfns = vpns[order], pfns[order]
-        # Positions (in VPN order) of the first and the last page of each
-        # run: where the step from the previous / to the next VPN is not 1.
-        firsts = _np.flatnonzero(_np.diff(vpns, prepend=vpns[:1] - 2) != 1)
-        lasts = _np.flatnonzero(_np.diff(vpns, append=vpns[-1:] + 2) != 1)
+        # Page i + 1 goes on with page i's run when it is the next VPN on
+        # the next frame; the positions (in VPN order) of the first and
+        # the last page of each run are where it does not.
+        split = (_np.diff(vpns) != 1) | (_np.diff(pfns) != 1)
+        firsts = _np.flatnonzero(_np.concatenate(([count > 0], split)))
+        lasts = _np.flatnonzero(_np.concatenate((split, [count > 0])))
         sentinel = _np.iinfo(_np.int64).min
         starts = _np.concatenate(([sentinel], vpns[firsts]))
         ends = _np.concatenate(([sentinel], vpns[lasts] + 1))
         shifts = _np.concatenate(([0], firsts - vpns[firsts]))
-        return starts, ends, shifts, _np.append(pfns, -1)
+        frames = _np.append(pfns, -1)
+        frames.flags.writeable = False
+        return starts, ends, shifts, frames
 
     def state_dict(self):
         return {"entries": self._entries.copy()}
 
     def load_state_dict(self, state):
-        self._entries = state["entries"].copy()
-        self._runs = None
+        # A rollback mostly loads the mapping the table already holds:
+        # then what was derived from it stays current.
+        if state["entries"] != self._entries:
+            self._entries = state["entries"].copy()
+            self._changed()
 
 
 def kernel_va(paddr):

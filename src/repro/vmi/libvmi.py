@@ -274,13 +274,84 @@ class VMIInstance:
             if page_table is None else page_table.frames_of(vpns)
         return _np.where(kernel, vpns - _KERNEL_VPN, user)
 
+    def translate_ranges(self, first, last, pid=0):
+        """Where the pages of each range ``[first[i], last[i]]`` lie:
+        the rule every read of guest-virtual bytes follows, in bulk over
+        int64 VPN arrays with ``last >= first``. Uncharged, like
+        :meth:`translate`.
+
+        Returns ``(frames, flat, lo, hi)``:
+
+        * ``frames`` — the frame of page ``first``
+          (:meth:`translate_pages`, -1 where it is refused);
+        * ``flat`` — every page translates, onto adjacent frames that all
+          lie in RAM, so the range is one slice of RAM from ``frames``;
+        * ``lo``, ``hi`` — the frames the range's pages map to, as the
+          slots ``[lo, hi)`` of :meth:`slot_frames`: for a kernel range
+          its direct-map frames in RAM, for a user range its mapped pages
+          below the direct map (no process maps pages up to it).
+        """
+        first = _np.asarray(first, dtype=_np.int64)
+        last = _np.asarray(last, dtype=_np.int64)
+        frame_count = self.vm.memory.frame_count
+        frames = self.translate_pages(first, pid)
+        kernel = first >= _KERNEL_VPN
+        page_table = None if pid == 0 else self._page_table_of(pid)
+        if page_table is None:
+            below = above = _np.zeros(len(first), dtype=_np.int64)
+            contiguous = _np.zeros(len(first), dtype=bool)
+        else:
+            # User pages lie below the direct map; kernel rows, which the
+            # direct map answers below, look up a placeholder range.
+            top = _np.minimum(last, _KERNEL_VPN - 1)
+            below, above, contiguous = page_table.ranges(
+                _np.minimum(first, top), top)
+            contiguous &= last == top
+        flat = _np.where(kernel, last - _KERNEL_VPN < frame_count,
+                         contiguous & (frames + (last - first) < frame_count))
+        lo = _np.where(kernel, _np.minimum(first - _KERNEL_VPN, frame_count),
+                       frame_count + below)
+        hi = _np.where(kernel, _np.minimum(last - _KERNEL_VPN + 1, frame_count),
+                       frame_count + above)
+        return frames, flat, lo, hi
+
+    def slot_frames(self, pid=0):
+        """The frame behind each slot of :meth:`translate_ranges`' bounds.
+
+        Slots ``[0, frame_count)`` are the frames of RAM themselves, as
+        the direct map reaches them; slot ``frame_count + r`` is the
+        frame of ``pid``'s mapped user page of rank ``r`` (in VPN order),
+        which may lie past RAM. So a range's frames are one run of slots
+        even where its pages sit on frames that are not adjacent.
+        """
+        page_table = None if pid == 0 else self._page_table_of(pid)
+        user = _np.empty(0, dtype=_np.int64) if page_table is None \
+            else page_table.mapped_frames()
+        return _np.concatenate((_np.arange(self.vm.memory.frame_count),
+                                user))
+
+    def mapping_token(self, pid):
+        """An opaque token for how ``pid``'s user pages map now.
+
+        Equal tokens mean the same page table at the same generation, so
+        every user translation of ``pid`` is unchanged between them: a
+        caller that keeps what it derived from :meth:`translate_ranges`
+        compares tokens to know it is still current. A respawned process, or one a restore resurrects, has a
+        new page table and so a new token. None for the kernel address
+        space and for an unknown pid.
+        """
+        page_table = None if pid == 0 else self._page_table_of(pid)
+        return None if page_table is None \
+            else (page_table, page_table.generation)
+
     def _page_table_of(self, pid):
         """The page table of live process ``pid``, or None."""
         processes = getattr(self.vm, "processes", None)
         process = processes.get(pid) if processes is not None else None
         return None if process is None else process.page_table
 
-    def read_pa(self, paddr, length):
+    def _charge_read(self, length):
+        """Charge one logical read of ``length`` bytes, then probe it."""
         # Charge proportionally to the bytes moved (min one cache line):
         # tiny typed reads (a canary, a pointer) must not be priced like
         # whole-page copies, or the 90k-canaries/ms scan rate of §5.5
@@ -289,10 +360,49 @@ class VMIInstance:
             self.costs.PER_PAGE_READ_US * max(length, 64) / float(PAGE_SIZE)
         )
         self._probe_read_fault()
+
+    def read_pa(self, paddr, length):
+        self._charge_read(length)
         return self.vm.memory.read(paddr, length)
 
     def read_va(self, vaddr, length, pid=0):
-        return self.read_pa(self.translate(vaddr, pid), length)
+        """Read ``length`` bytes at ``vaddr``, each page through its own
+        translation.
+
+        A process's consecutive pages need not sit on adjacent frames
+        (frames freed by an exited process are handed out again in
+        reverse), so a user read that crosses a page boundary follows
+        :meth:`translate_ranges`. Every page is translated first, with
+        :meth:`translate`'s rules, so an untranslatable page raises
+        :class:`IntrospectionError` before anything is charged. The read
+        is then one logical read: one charge and one fault probe, as one
+        :meth:`read_pa` of ``length`` bytes — which it is when the range
+        is flat.
+        """
+        paddr = self.translate(vaddr, pid)
+        offset = paddr % PAGE_SIZE
+        if offset + length <= PAGE_SIZE:
+            return self.read_pa(paddr, length)
+        if vaddr + length > _VA_LIMIT:
+            raise IntrospectionError(
+                "read of %d bytes at 0x%x runs past the 64-bit address space"
+                % (length, vaddr))
+        if pid == 0 or vaddr >= KERNEL_BASE:
+            # The direct map is linear: every page translates in line.
+            return self.read_pa(paddr, length)
+        first = vaddr // PAGE_SIZE
+        last = (vaddr + length - 1) // PAGE_SIZE
+        _frames, flat, lo, hi = (int(column[0]) for column in
+                                 self.translate_ranges([first], [last], pid))
+        if flat:
+            return self.read_pa(paddr, length)
+        if hi - lo != last - first + 1:
+            raise IntrospectionError(
+                "user range [0x%x, +%d) of pid %d is not mapped throughout"
+                % (vaddr, length, pid))
+        self._charge_read(length)
+        return self.vm.memory.read_frames(self.slot_frames(pid)[lo:hi],
+                                          offset, length)
 
     def read_struct(self, struct_name, vaddr, pid=0):
         layout = self.profile.struct(struct_name)

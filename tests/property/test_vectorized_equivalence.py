@@ -128,6 +128,9 @@ def _heap_scenario(draw):
     dirty_pct = draw(st.integers(0, 100))
     scan_all = draw(st.booleans())
     jitter = draw(st.sampled_from([0.03, 0.0]))
+    # A process created and exited before the subject: the subject then
+    # maps its consecutive pages to that process's frames, descending.
+    respawn = draw(st.booleans())
     return {
         "sizes": sizes,
         "freed": sorted(freed),
@@ -140,6 +143,7 @@ def _heap_scenario(draw):
         "dirty_pages": None,
         "scan_all": scan_all,
         "jitter": jitter,
+        "respawn": respawn,
     }
 
 
@@ -156,6 +160,8 @@ def _scan_once(scenario, module, injector=None):
     """
     vm = LinuxGuest(name="prop-vec", memory_bytes=4 * 1024 * 1024, seed=9)
     domain = Hypervisor(clock=vm.clock).create_domain(vm)
+    if scenario["respawn"]:
+        vm.exit_process(vm.create_process("first", heap_pages=256).pid)
     process = vm.create_process("subject", heap_pages=256)
 
     addrs = [process.malloc(size) for size in scenario["sizes"]]
@@ -232,7 +238,7 @@ def _scenario(sizes, **overrides):
     scenario = {"sizes": sizes, "freed": [], "clobbered": [],
                 "scribbled": [], "zeroed": [], "corrupted": [],
                 "dirty_salt": 0, "dirty_pct": 100, "dirty_pages": None,
-                "scan_all": False, "jitter": 0.03}
+                "scan_all": False, "jitter": 0.03, "respawn": False}
     scenario.update(overrides)
     return scenario
 
@@ -253,6 +259,11 @@ def _scenario(sizes, **overrides):
                             dirty_pages=[1]))
 # A freed entry of size 0 at the page-aligned heap base.
 @example(scenario=_scenario([16, 32], freed=[0], zeroed=[0]))
+# On descending frames: object 0's clobbered canary crosses from heap
+# page 0 onto a non-adjacent frame, and freed object 1 (heap pages 1 and
+# 2, written at its first byte) is selected by page 2's frame alone.
+@example(scenario=_scenario([4090, 5000, 16], freed=[1], scribbled=[1],
+                            clobbered=[0], dirty_pages=[0, 2], respawn=True))
 def test_slab_canary_scan_matches_seed_loop(scenario):
     """Same findings, same counters, bit-identical charged time."""
     fast = _scan_once(scenario, CanaryScanModule())

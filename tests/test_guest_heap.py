@@ -66,6 +66,18 @@ def test_double_free_raises(process):
         process.free(addr)
 
 
+def test_free_of_a_stack_guard_canary_raises(process):
+    # A stack frame's tripwire shares the heap's table but is no object.
+    locals_base = process.stack_guard.push_frame(32)
+    assert locals_base in process.heap._table_index
+    with pytest.raises(GuestFault, match="unallocated"):
+        process.free(locals_base)
+    with pytest.raises(GuestFault):
+        process.heap.allocation_size(locals_base)
+    assert locals_base not in process.heap.live_allocations()
+    process.stack_guard.pop_frame()
+
+
 def test_free_detects_corrupted_canary(process):
     addr = process.malloc(32)
     process.write(addr, b"A" * 40)  # overflow clobbers the canary
