@@ -40,7 +40,15 @@ from repro.hypervisor.dirty import ScanStats, WORD_BITS
 
 
 class LegacyCheckpointer(Checkpointer):
-    """Checkpointer with the seed revision's O(RAM) commit/rollback."""
+    """Checkpointer with the seed revision's O(RAM) commit/rollback.
+
+    A moving reference: its staging deep-copies today's
+    ``vm.state_dict()``, so its cost follows the current guest-state
+    format, not the seed revision's. When the canary heap's state became
+    one ``bytes`` mirror, its harvest+stage in the epoch-phases bench fell
+    from 44.5-46.9 to 8.5-10.3 ms per epoch. A speedup against it is read
+    beside each side's own samples in the BENCH files.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -132,6 +140,10 @@ class LegacyWordBitmap:
         if not self._words[word] & mask:
             self._words[word] |= mask
             self._dirty_count += 1
+
+    def set_many(self, pfns):
+        for pfn in pfns:
+            self.set(pfn)
 
     def clear(self):
         self._words = [0] * self.word_count

@@ -12,15 +12,15 @@ Measures the control plane's three hot paths with real evidence:
 * **worker drain** — one forensics job per case (Volatility plugin pass
   over the attached memory dump), wall time from enqueue to drain.
 
-Results go to ``BENCH_case_service.json`` (schema ``crimes-obs/1``).
-Bundle count scales with ``CRIMES_SERVICE_BUNDLES`` (default 12); the
-asserted floors are deliberately loose — they gate "did the control
-plane get pathologically slow", not a specific machine's numbers.
+Results go to ``BENCH_case_service.json``, with every ingest, query and
+request timed on its own. The floors are deliberately loose: they gate
+"did the control plane get pathologically slow", not a specific
+machine's numbers.
 """
 
 import json
 import os
-import time
+import sys
 import urllib.request
 
 from repro.core.config import CrimesConfig
@@ -35,8 +35,13 @@ from repro.service.workers import ForensicsWorkerQueue
 from repro.workloads.attacks import OverflowAttackProgram, RootkitProgram
 from repro.workloads.webserver import WebServerWorkload
 
-BUNDLES = int(os.environ.get("CRIMES_SERVICE_BUNDLES", 12))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import harness  # noqa: E402
+
+BUNDLES = 12
 QUERY_ROUNDS = 50
+HTTP_QUERY_PATHS = ("/findings", "/findings?module=syscall_table",
+                    "/cases", "/slo", "/metrics") * 4
 
 #: Loose sanity floors (see module docstring).
 MIN_INGEST_PER_S = 5.0
@@ -69,122 +74,106 @@ def make_evidence(count):
     return pairs
 
 
+def per_second(count, samples_ms):
+    return count * 1000.0 / sum(samples_ms)
+
+
 def bench_vault_ingest(root, evidence):
+    """ms of each verified ``CaseVault.ingest``; returns the vault too."""
     vault = CaseVault(root)
-    start = time.perf_counter()
-    for bundle, dump in evidence:
-        vault.ingest(bundle, dump=dump)
-    wall_s = time.perf_counter() - start
-    return vault, {
-        "bundles": len(evidence),
-        "wall_s": wall_s,
-        "ingests_per_s": len(evidence) / wall_s if wall_s else 0.0,
-    }
+    return vault, [harness.timed(vault.ingest, bundle, dump=dump)[1]
+                   for bundle, dump in evidence]
 
 
 def bench_queries(vault):
+    """ms of each cross-case findings query, and the rows returned."""
     filters = ({}, {"module": "syscall_table"}, {"module": "canary"},
                {"since": 100.0})
-    start = time.perf_counter()
+    samples = []
     rows = 0
     for index in range(QUERY_ROUNDS):
-        rows += len(vault.findings(**filters[index % len(filters)]))
-    wall_s = time.perf_counter() - start
-    return {
-        "queries": QUERY_ROUNDS,
-        "rows_returned": rows,
-        "wall_s": wall_s,
-        "queries_per_s": QUERY_ROUNDS / wall_s if wall_s else 0.0,
-    }
+        found, elapsed_ms = harness.timed(
+            vault.findings, **filters[index % len(filters)])
+        rows += len(found)
+        samples.append(elapsed_ms)
+    return samples, rows
+
+
+def _post(url, bundle):
+    request = urllib.request.Request(
+        url, data=json.dumps(bundle).encode(),
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(request) as resp:
+        assert resp.status == 201
+
+
+def _get(url):
+    with urllib.request.urlopen(url) as resp:
+        assert resp.status == 200
+        resp.read()
 
 
 def bench_http(root, evidence):
+    """ms of each POSTed bundle and of each GET, through a live listener."""
     service = CaseService(CaseVault(root), workers=1, seed=0).start()
     try:
-        start = time.perf_counter()
-        for bundle, _ in evidence:
-            request = urllib.request.Request(
-                service.url + "/cases",
-                data=json.dumps(bundle).encode(),
-                headers={"Content-Type": "application/json"})
-            with urllib.request.urlopen(request) as resp:
-                assert resp.status == 201
-        ingest_s = time.perf_counter() - start
-        start = time.perf_counter()
-        for path in ("/findings", "/findings?module=syscall_table",
-                     "/cases", "/slo", "/metrics") * 4:
-            with urllib.request.urlopen(service.url + path) as resp:
-                assert resp.status == 200
-                resp.read()
-        query_s = time.perf_counter() - start
+        ingest = [harness.timed(_post, service.url + "/cases", bundle)[1]
+                  for bundle, _ in evidence]
+        query = [harness.timed(_get, service.url + path)[1]
+                 for path in HTTP_QUERY_PATHS]
     finally:
         service.stop()
-    return {
-        "ingest_wall_s": ingest_s,
-        "ingests_per_s": len(evidence) / ingest_s if ingest_s else 0.0,
-        "query_requests": 20,
-        "query_wall_s": query_s,
-        "queries_per_s": 20 / query_s if query_s else 0.0,
-    }
+    return ingest, query
 
 
 def bench_worker_drain(vault):
+    """Wall ms from enqueueing one job per case to the drained queue."""
     queue = ForensicsWorkerQueue(vault, workers=2, seed=0).start()
     try:
         case_ids = vault.case_ids()
-        start = time.perf_counter()
-        for case_id in case_ids:
-            queue.enqueue(case_id)
-        result = queue.drain(timeout_ms=MAX_DRAIN_S * 1000.0)
-        wall_s = time.perf_counter() - start
+
+        def drain():
+            for case_id in case_ids:
+                queue.enqueue(case_id)
+            return queue.drain(timeout_ms=MAX_DRAIN_S * 1000.0)
+
+        result, wall_ms = harness.timed(drain)
     finally:
         queue.stop()
     assert result["failed"] == 0
-    return {
-        "jobs": len(case_ids),
-        "wall_s": wall_s,
-        "jobs_per_s": len(case_ids) / wall_s if wall_s else 0.0,
-        "mean_job_s": wall_s / len(case_ids) if case_ids else 0.0,
-    }
+    return len(case_ids), wall_ms
 
 
-def test_case_service_throughput(record_bench, tmp_path):
+def test_case_service_throughput(tmp_path):
     evidence = make_evidence(BUNDLES)
 
     vault, ingest = bench_vault_ingest(tmp_path / "direct", evidence)
-    queries = bench_queries(vault)
-    http = bench_http(tmp_path / "http", evidence)
-    drain = bench_worker_drain(vault)
+    queries, rows = bench_queries(vault)
+    http_ingest, http_query = bench_http(tmp_path / "http", evidence)
+    jobs, drain_ms = bench_worker_drain(vault)
 
-    payload = {
-        "description": "incident case service hot paths: verified "
-                       "bundle ingest, cross-case findings queries, "
-                       "HTTP round trips, forensics worker drain",
-        "bundles": BUNDLES,
-        "host_cpu_count": os.cpu_count(),
-        "thresholds": {
-            "min_vault_ingests_per_s": MIN_INGEST_PER_S,
-            "min_queries_per_s": MIN_QUERY_PER_S,
-            "max_drain_s": MAX_DRAIN_S,
-        },
-        "vault_ingest": ingest,
-        "vault_query": queries,
-        "http": http,
-        "worker_drain": drain,
-    }
-    path = record_bench("case_service", extra=payload)
-    assert os.path.exists(path)
-
-    print("bundles=%d host_cpu_count=%s" % (BUNDLES, os.cpu_count()))
-    print("vault ingest: %6.1f verified bundles/s" %
-          ingest["ingests_per_s"])
-    print("vault query:  %6.1f queries/s (%d rows)"
-          % (queries["queries_per_s"], queries["rows_returned"]))
-    print("http ingest:  %6.1f bundles/s; queries %6.1f req/s"
-          % (http["ingests_per_s"], http["queries_per_s"]))
-    print("worker drain: %d jobs in %.2f s (%.2f s/job)"
-          % (drain["jobs"], drain["wall_s"], drain["mean_job_s"]))
-
-    assert ingest["ingests_per_s"] >= MIN_INGEST_PER_S
-    assert queries["queries_per_s"] >= MIN_QUERY_PER_S
-    assert drain["wall_s"] <= MAX_DRAIN_S
+    bench = harness.Bench(
+        "case_service",
+        "incident case service hot paths: verified bundle ingest, "
+        "cross-case findings queries, HTTP round trips, forensics worker "
+        "drain", True, bundles=BUNDLES, query_rounds=QUERY_ROUNDS)
+    bench.case("vault_ingest", "CaseVault.ingest of each distinct bundle "
+               "with its memory dump, chains re-derived", {"ingest": ingest},
+               ingests_per_s=per_second(BUNDLES, ingest))
+    bench.case("vault_query", "cross-case findings queries, %d rows "
+               "returned" % rows, {"query": queries},
+               rows_returned=rows,
+               queries_per_s=per_second(QUERY_ROUNDS, queries))
+    bench.case("http", "POST /cases per bundle, then GETs of findings, "
+               "cases, slo and metrics, through a live listener",
+               {"ingest": http_ingest, "query": http_query},
+               ingests_per_s=per_second(BUNDLES, http_ingest),
+               queries_per_s=per_second(len(HTTP_QUERY_PATHS), http_query))
+    bench.case("worker_drain", "one forensics job per case on 2 workers, "
+               "enqueue to drained", {"drain": [drain_ms]},
+               jobs=jobs, wall_s=drain_ms / 1000.0,
+               jobs_per_s=per_second(jobs, [drain_ms]))
+    bench.gate("vault_ingest", "ingests_per_s", ">=", MIN_INGEST_PER_S)
+    bench.gate("vault_query", "queries_per_s", ">=", MIN_QUERY_PER_S)
+    bench.gate("worker_drain", "wall_s", "<=", MAX_DRAIN_S)
+    bench.finish()

@@ -1,49 +1,57 @@
 """Host wall-clock phase attribution for the full epoch pipeline.
 
 Where ``test_wallclock_substrate.py`` times the checkpoint *substrate* in
-isolation, this harness drives ``Crimes.run_epoch`` end to end — guest
+isolation, this bench drives ``Crimes.run_epoch`` end to end — guest
 workload, dirty harvest + staging, VMI-backed audit, commit + release,
-program snapshots — under a canary-heavy workload (the §5.5 regime: tens
-of thousands of live tripwires, a small dirty set per epoch), and
-attributes the host time to the pipeline's phases.
+program snapshots — under the benchmark's canary-churn program
+(``benchmarks/crimes_bench/programs.py``, the §5.5 regime: tens of
+thousands of live tripwires, a small dirty set per epoch).
+
+Phase times come from the spans ``run_epoch`` opens, with wall time
+captured on the tenant's own tracer: ``epoch.speculate``,
+``epoch.checkpoint`` (harvest + stage), ``epoch.audit`` and
+``epoch.commit`` (commit + release); ``epoch.self`` is the ``epoch``
+span's time outside them (program snapshots, the epoch close, the
+journal).
 
 The "before" side rebuilds the seed revision's hot paths from
 ``benchmarks/perf/legacy.py``: per-field struct decodes, the per-entry
 canary filter, the copying checkpointer, and deepcopy program snapshots.
-Both sides charge bit-identical *virtual* time — the harness asserts the
-final virtual clocks and scan meters agree, so the speedup is pure host
-efficiency, not a change in what the simulation models.
+The copying checkpointer deep-copies today's guest state, so the before
+side moves with the current state format. Both sides charge
+bit-identical *virtual* time: the bench asserts the final virtual
+clocks, audit cost and checks agree, so the speedup is host efficiency,
+not a change in what the simulation models.
 
-Results go to ``BENCH_epoch_phases.json``. The ``epoch_full_fidelity``
-threshold (>= 5x) is asserted only at full scale; set
-``CRIMES_PERF_FRAMES`` (e.g. 2048) for a quick CI smoke run.
+Each repeat is a fresh loop. Its first ``WARMUP_EPOCHS`` epochs give the
+gated number: their mean, best of ``REPEATS``, at least 5x at full scale
+(``CRIMES_PERF_FRAMES`` scales the RAM down, see ``harness.py``). The
+``STEADY_EPOCHS`` after them give each phase's steady-state samples.
 """
 
 import os
 import sys
-import time
 
 from repro.core.config import CrimesConfig
 from repro.core.crimes import Crimes
 from repro.detectors.canary import CanaryScanModule
 from repro.detectors.malware import MalwareScanModule
 from repro.guest.linux import LinuxGuest
-from repro.guest.memory import PAGE_SIZE
-from repro.sim.rng import SeededStream
-from repro.workloads.base import GuestProgram
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "crimes_bench"))
+import harness  # noqa: E402
+from harness import FRAMES, RAM_BYTES  # noqa: E402
 from legacy import (  # noqa: E402
     LegacyCanaryScanModule,
     LegacyCheckpointer,
     LegacyCrimes,
     LegacyVMIInstance,
 )
+from programs import CanaryChurnProgram  # noqa: E402
 
-DEFAULT_FRAMES = 16384  # 64 MiB of simulated RAM at 4 KiB pages
-FRAMES = int(os.environ.get("CRIMES_PERF_FRAMES", DEFAULT_FRAMES))
-FULL_SCALE = FRAMES >= DEFAULT_FRAMES
-RAM_BYTES = FRAMES * PAGE_SIZE
+FULL_SCALE = FRAMES >= harness.DEFAULT_FRAMES
 
 #: Live tripwired objects the guest maintains (~1.5 per RAM frame at
 #: full scale — 24k canaries over 64 MiB, the paper's §5.5 ballpark).
@@ -53,86 +61,15 @@ LIVE_OBJECTS = max(512, int(FRAMES * 1.5))
 #: fraction of the table each epoch — the sparse-dirty regime §5.5's
 #: 90k-canaries/ms headline depends on.
 OBJECT_SIZE = 384
-CHURN_PER_EPOCH = 128       # objects freed + reallocated each epoch
+FREES_PER_EPOCH = 128       # objects freed + reallocated each epoch
 WRITES_PER_EPOCH = 192      # live objects rewritten each epoch
-EPOCHS = 4
+WARMUP_EPOCHS = 4           # a fresh loop's first epochs: the gated window
+STEADY_EPOCHS = 12
 REPEATS = 3  # best-of; one extra repeat buys headroom against host noise
 
 THRESHOLDS = {
     "epoch_full_fidelity": 5.0,
 }
-
-PHASES = ("speculate", "harvest+stage", "audit", "commit+release",
-          "snapshot", "other")
-
-
-class CanaryChurnProgram(GuestProgram):
-    """A large tripwired heap with a small, deterministic epoch churn.
-
-    bind() builds the steady-state object population; each epoch then
-    frees and reallocates a handful of objects and rewrites some live
-    ones, so the dirty set stays small while the canary table stays
-    huge — exactly the regime the dirty-page filter exists for.
-    """
-
-    name = "canary-churn"
-
-    def __init__(self, live_objects=LIVE_OBJECTS, object_size=OBJECT_SIZE,
-                 churn=CHURN_PER_EPOCH, writes=WRITES_PER_EPOCH, seed=0):
-        super().__init__()
-        self.live_objects = live_objects
-        self.object_size = object_size
-        self.churn = churn
-        self.writes = writes
-        self._rng = SeededStream(seed, "canary-churn")
-        self._pid = None
-        self._addrs = []
-        self._epoch = 0
-
-    def bind(self, vm):
-        super().bind(vm)
-        heap_pages = (self.live_objects * (self.object_size + 32)
-                      // PAGE_SIZE) + 64
-        process = vm.create_process(
-            "churnd", heap_pages=heap_pages,
-            canary_capacity=2 * self.live_objects + 4096,
-        )
-        self._pid = process.pid
-        payload = b"\x42" * self.object_size
-        for _ in range(self.live_objects):
-            addr = process.malloc(self.object_size)
-            process.write(addr, payload)
-            self._addrs.append(addr)
-
-    @property
-    def process(self):
-        return self.vm.processes[self._pid]
-
-    def step(self, start_ms, interval_ms):
-        self._require_bound()
-        self._epoch += 1
-        process = self.process
-        rng = self._rng
-        for _ in range(self.churn):
-            index = rng.randint(0, len(self._addrs) - 1)
-            process.free(self._addrs[index])
-            addr = process.malloc(self.object_size)
-            process.write(addr, b"\x17" * self.object_size)
-            self._addrs[index] = addr
-        payload = b"%06d" % self._epoch
-        for _ in range(self.writes):
-            addr = self._addrs[rng.randint(0, len(self._addrs) - 1)]
-            process.write(addr, payload)
-        return {"synthetic_dirty": 0}
-
-    def state_dict(self):
-        return {"epoch": self._epoch, "pid": self._pid,
-                "addrs": list(self._addrs)}
-
-    def load_state_dict(self, state):
-        self._epoch = state["epoch"]
-        self._pid = state["pid"]
-        self._addrs = list(state["addrs"])
 
 
 def _make_crimes(kind, seed=31):
@@ -159,124 +96,126 @@ def _make_crimes(kind, seed=31):
             observer=crimes.observer,
         )
         crimes.install_module(LegacyCanaryScanModule())
-        crimes.install_module(MalwareScanModule(detect_hidden=False))
     else:
         crimes = Crimes(vm, config)
         crimes.install_module(CanaryScanModule())
-        crimes.install_module(MalwareScanModule(detect_hidden=False))
-    crimes.add_program(CanaryChurnProgram(seed=seed))
+    crimes.install_module(MalwareScanModule(detect_hidden=False))
+    crimes.add_program(CanaryChurnProgram(
+        LIVE_OBJECTS, OBJECT_SIZE, FREES_PER_EPOCH, WRITES_PER_EPOCH,
+        WARMUP_EPOCHS + STEADY_EPOCHS, seed=seed))
     crimes.start()
+    crimes.observer.tracer.capture_wall = True
     return crimes
 
 
-def _instrument(crimes, phases):
-    """Wrap the pipeline's stage entry points with wall-clock meters."""
+def _phase_ms(tracer):
+    """Per ``epoch`` span, in order: ``{phase: wall ms}``.
 
-    def wrap(obj, attr, key):
-        original = getattr(obj, attr)
-
-        def timed(*args, **kwargs):
-            begin = time.perf_counter()
-            try:
-                return original(*args, **kwargs)
-            finally:
-                phases[key] += time.perf_counter() - begin
-
-        setattr(obj, attr, timed)
-
-    for program in crimes.programs:
-        wrap(program, "step", "speculate")
-    wrap(crimes.checkpointer, "run_checkpoint", "harvest+stage")
-    wrap(crimes.detector, "scan", "audit")
-    wrap(crimes.checkpointer, "commit", "commit+release")
-    wrap(crimes.buffer, "commit", "commit+release")
-    wrap(crimes, "_snapshot_program_states", "snapshot")
+    Each child span of an ``epoch`` span is a phase; ``epoch.self`` is the
+    epoch span's wall time outside its children.
+    """
+    children = {}
+    for event in tracer.events:
+        children.setdefault(event.parent_id, []).append(event)
+    epochs = []
+    for epoch in tracer.spans_named("epoch"):
+        phases = {}
+        for child in children.get(epoch.span_id, ()):
+            phases[child.name] = (phases.get(child.name, 0.0)
+                                  + child.wall_duration_s * 1000.0)
+        phases["epoch.self"] = (epoch.wall_duration_s * 1000.0
+                                - sum(phases.values()))
+        epochs.append(phases)
+    return epochs
 
 
-def _run_epochs(kind):
-    """One measured run; returns (per-epoch ms, per-phase ms, evidence)."""
-    crimes = _make_crimes(kind)
-    phases = dict.fromkeys(PHASES, 0.0)
-    _instrument(crimes, phases)
-    begin = time.perf_counter()
-    for _ in range(EPOCHS):
-        record = crimes.run_epoch()
-        assert record.committed, "bench epochs must audit clean"
-    total = time.perf_counter() - begin
-    phases["other"] = total - sum(
-        phases[key] for key in PHASES if key != "other")
-    canary = crimes.detector.module("canary")
-    evidence = {
-        "virtual_now_ms": crimes.clock.now,
-        "audit_cost_ms": crimes.detector.total_cost_ms,
-        "canaries_checked": canary.canaries_checked,
-        "freed_checked": canary.freed_regions_checked,
-        "findings": sum(len(r.detection.findings) for r in crimes.records
-                        if r.detection is not None),
-    }
-    return (
-        total * 1000.0 / EPOCHS,
-        {key: value * 1000.0 / EPOCHS for key, value in phases.items()},
-        evidence,
-    )
+def _loop(kind, loops):
+    """A callable running one fresh loop of ``kind`` per call.
+
+    It appends the loop's per-epoch ms, per-epoch phase ms and evidence
+    to ``loops`` and returns the gated sample: the warm-up epochs' mean
+    ms.
+    """
+
+    def run():
+        crimes = _make_crimes(kind)
+        epoch_ms = []
+        for _ in range(WARMUP_EPOCHS + STEADY_EPOCHS):
+            record, elapsed_ms = harness.timed(crimes.run_epoch)
+            assert record.committed, "bench epochs must audit clean"
+            epoch_ms.append(elapsed_ms)
+        canary = crimes.detector.module("canary")
+        evidence = {
+            "virtual_now_ms": crimes.clock.now,
+            "audit_cost_ms": crimes.detector.total_cost_ms,
+            "canaries_checked": canary.canaries_checked,
+            "freed_checked": canary.freed_regions_checked,
+            "findings": sum(len(r.detection.findings) for r in crimes.records
+                            if r.detection is not None),
+        }
+        loops.append({"epoch_ms": epoch_ms,
+                      "phases": _phase_ms(crimes.observer.tracer),
+                      "evidence": evidence})
+        return sum(epoch_ms[:WARMUP_EPOCHS]) / WARMUP_EPOCHS
+
+    return run
 
 
-def test_epoch_phase_attribution(record_bench):
-    best = {}
-    attributions = {}
-    evidences = {}
-    for kind in ("after", "before"):
-        best[kind] = float("inf")
-        for _ in range(REPEATS):
-            epoch_ms, phase_ms, evidence = _run_epochs(kind)
-            if epoch_ms < best[kind]:
-                best[kind] = epoch_ms
-                attributions[kind] = phase_ms
-            evidences[kind] = evidence
+def test_epoch_phase_attribution():
+    loops = {"after": [], "before": []}
+    sides = harness.sample(REPEATS, {kind: _loop(kind, loops[kind])
+                                     for kind in ("after", "before")})
 
-    # Equivalence evidence: both pipelines modeled the exact same
-    # simulation — same virtual clock, same charged audit cost, same
-    # tripwires validated, same (zero) findings. Only host time moved.
-    assert evidences["before"] == evidences["after"], (
-        "seed-path run diverged from live-path run: %r != %r"
-        % (evidences["before"], evidences["after"])
-    )
-    assert evidences["after"]["canaries_checked"] > 0
+    # Equivalence evidence: every loop modeled the exact same simulation
+    # — same virtual clock, same charged audit cost, same tripwires
+    # validated, same (zero) findings. Only host time moved.
+    evidence = loops["after"][0]["evidence"]
+    for kind, runs in loops.items():
+        for loop in runs:
+            assert loop["evidence"] == evidence, (
+                "%s run diverged from the first live run: %r != %r"
+                % (kind, loop["evidence"], evidence))
+    assert evidence["canaries_checked"] > 0
 
-    case = {
-        "before_ms": best["before"],
-        "after_ms": best["after"],
-        "speedup": best["before"] / best["after"],
-        "detail": "full run_epoch, %d live canaries, %d churned + %d "
-                  "rewritten objects per epoch" % (
-                      LIVE_OBJECTS, CHURN_PER_EPOCH, WRITES_PER_EPOCH),
-    }
+    bench = harness.Bench(
+        "epoch_phases",
+        "host wall-clock phase attribution of the full epoch pipeline, "
+        "live paths vs the seed revision's, read from run_epoch's spans; "
+        "the before checkpointer deep-copies today's guest state, so its "
+        "cost follows the current state format",
+        FULL_SCALE, frames=FRAMES, ram_mib=RAM_BYTES // (1 << 20),
+        live_canaries=LIVE_OBJECTS, warmup_epochs=WARMUP_EPOCHS,
+        steady_epochs=STEADY_EPOCHS, repeats=REPEATS)
+    bench.case(
+        "epoch_full_fidelity",
+        "full run_epoch, mean of a fresh loop's first %d epochs, %d live "
+        "canaries, %d freed + %d rewritten objects per epoch"
+        % (WARMUP_EPOCHS, LIVE_OBJECTS, FREES_PER_EPOCH, WRITES_PER_EPOCH),
+        sides, speedup=harness.ratio(sides["before"], sides["after"]))
+    bench.gate("epoch_full_fidelity", "speedup", ">=",
+               THRESHOLDS["epoch_full_fidelity"], applies=FULL_SCALE)
 
-    path = record_bench("epoch_phases", extra={
-        "description": "host wall-clock phase attribution of the full "
-                       "epoch pipeline, live paths vs the seed revision",
-        "frames": FRAMES,
-        "ram_mib": RAM_BYTES // (1024 * 1024),
-        "full_scale": FULL_SCALE,
-        "live_canaries": LIVE_OBJECTS,
-        "epochs": EPOCHS,
-        "thresholds": THRESHOLDS,
-        "cases": {"epoch_full_fidelity": case},
-        "phase_ms": attributions,
-        "evidence": evidences["after"],
-    })
-    assert os.path.exists(path)
+    for name, first, last in (
+            ("warmup_epochs", 1, WARMUP_EPOCHS),
+            ("steady_epochs", WARMUP_EPOCHS + 1,
+             WARMUP_EPOCHS + STEADY_EPOCHS)):
+        bench.case(name, "full run_epoch, per epoch, epochs %d-%d of every "
+                   "loop" % (first, last),
+                   {kind: [ms for loop in runs
+                           for ms in loop["epoch_ms"][first - 1:last]]
+                    for kind, runs in loops.items()})
 
-    print("%-16s %10s %10s" % ("phase", "before ms", "after ms"))
-    for key in PHASES:
-        print("%-16s %10.3f %10.3f"
-              % (key, attributions["before"][key], attributions["after"][key]))
-    print("%-16s %10.3f %10.3f  (%.1fx)"
-          % ("epoch total", case["before_ms"], case["after_ms"],
-             case["speedup"]))
-
-    if FULL_SCALE:
-        assert case["speedup"] >= THRESHOLDS["epoch_full_fidelity"], (
-            "epoch_full_fidelity: %.2fx < required %.1fx"
-            % (case["speedup"], THRESHOLDS["epoch_full_fidelity"])
-        )
+    # Each phase: its steady-state samples per side, and its warm-up mean
+    # in the loop that gave that side's gated number.
+    best = {kind: runs[sides[kind].index(min(sides[kind]))]["phases"]
+            for kind, runs in loops.items()}
+    for phase in best["after"][0]:
+        steady = {kind: [epoch[phase] for loop in runs
+                         for epoch in loop["phases"][WARMUP_EPOCHS:]]
+                  for kind, runs in loops.items()}
+        warmup = {"warmup_ms_%s" % kind: sum(
+            epoch[phase] for epoch in phases[:WARMUP_EPOCHS])
+            / WARMUP_EPOCHS for kind, phases in best.items()}
+        bench.case(phase, "span wall time per steady-state epoch", steady,
+                   **warmup)
+    bench.finish(evidence=evidence)

@@ -22,14 +22,14 @@ equivalence (virtual clocks, epoch counts, incident sets, hash-chain
 heads) between the serial host and the sharded scheduler before any
 throughput number is recorded.
 
-Results go to ``BENCH_fleet_throughput.json`` (schema ``crimes-obs/1``).
-The acceptance floor — modeled speedup >= 3.0x at 4 workers — is
-asserted at the default 256-tenant scale; set ``CRIMES_FLEET_TENANTS``
-(e.g. 16) for a quick CI smoke run with a relaxed >= 1.5x floor.
+Results go to ``BENCH_fleet_throughput.json``. The acceptance floor —
+modeled speedup >= 3.0x at 4 workers — is asserted at the default
+256-tenant scale; ``CRIMES_FLEET_TENANTS`` (e.g. 16, see ``harness.py``)
+gives a quick CI smoke run with a relaxed >= 1.5x floor.
 """
 
 import os
-import time
+import sys
 
 from repro.core.cloud import CloudHost
 from repro.core.fleet import (
@@ -38,9 +38,11 @@ from repro.core.fleet import (
     lpt_assignment,
 )
 
-DEFAULT_TENANTS = 256
-TENANTS = int(os.environ.get("CRIMES_FLEET_TENANTS", DEFAULT_TENANTS))
-FULL_SCALE = TENANTS >= DEFAULT_TENANTS
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import harness  # noqa: E402
+from harness import FLEET_TENANTS as TENANTS  # noqa: E402
+
+FULL_SCALE = TENANTS >= harness.DEFAULT_FLEET_TENANTS
 ROUNDS = 5
 WORKER_COUNTS = (1, 2, 4, 8)
 GATED_WORKERS = 4
@@ -84,23 +86,11 @@ def equiv_view(digests):
 
 
 def bench_serial(specs):
-    """Wall time of the serial CloudHost round loop."""
+    """ms of each serial ``CloudHost.run_round()``, and the digests."""
     host = CloudHost()
     admit_all(host, specs)
-    round_ms = []
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        host.run_round()
-        round_ms.append((time.perf_counter() - start) * 1000.0)
-    epochs = sum(digest["epochs_run"]
-                 for digest in host.tenant_digests().values())
-    wall_s = sum(round_ms) / 1000.0
-    return {
-        "round_ms": round_ms,
-        "mean_round_ms": sum(round_ms) / len(round_ms),
-        "epochs": epochs,
-        "epochs_per_s": epochs / wall_s if wall_s else 0.0,
-    }, host.tenant_digests()
+    round_ms = [harness.timed(host.run_round)[1] for _ in range(ROUNDS)]
+    return round_ms, host.tenant_digests()
 
 
 def bench_per_tenant_costs(specs):
@@ -112,103 +102,70 @@ def bench_per_tenant_costs(specs):
     """
     host = CloudHost()
     admit_all(host, specs)
-    totals = {}
-    counts = {}
+    samples = {}
     for _ in range(ROUNDS):
         for record in host.scheduled_tenants():
-            start = time.perf_counter()
-            record.crimes.run_epoch()
-            elapsed = (time.perf_counter() - start) * 1000.0
-            totals[record.name] = totals.get(record.name, 0.0) + elapsed
-            counts[record.name] = counts.get(record.name, 0) + 1
-    return {name: totals[name] / counts[name] for name in totals}
-
-
-def model_sharded_rounds(costs):
-    """LPT makespan of one mean round at each worker count."""
-    serial_ms = sum(costs.values())
-    modeled = {}
-    for workers in WORKER_COUNTS:
-        _, makespan = lpt_assignment(costs, workers)
-        modeled[str(workers)] = {
-            "makespan_ms": makespan,
-            "speedup": serial_ms / makespan if makespan else 1.0,
-        }
-    return {"serial_ms": serial_ms, "workers": modeled}
+            samples.setdefault(record.name, []).append(
+                harness.timed(record.crimes.run_epoch)[1])
+    return {name: sum(ms) / len(ms) for name, ms in samples.items()}
 
 
 def bench_process_backend(specs, workers):
-    """Real wall time of the process backend on this host."""
+    """Wall ms of ``ROUNDS`` batched rounds of the process backend."""
     with FleetScheduler(workers=workers, backend="process") as fleet:
         for spec in specs:
             fleet.admit(spec)
-        start = time.perf_counter()
-        fleet.run_rounds(ROUNDS)
-        wall_s = time.perf_counter() - start
-        rollup = fleet.rollup()
-        digests = fleet.tenant_digests()
-    epochs = rollup["epochs_total"]
-    return {
-        "wall_s": wall_s,
-        "mean_round_ms": wall_s * 1000.0 / ROUNDS,
-        "epochs": epochs,
-        "epochs_per_s": epochs / wall_s if wall_s else 0.0,
-        "round_pause_p99_ms": rollup["round_pause_ms"]["p99"],
-    }, digests
+        wall_ms = harness.timed(fleet.run_rounds, ROUNDS)[1]
+        return wall_ms, fleet.rollup(), fleet.tenant_digests()
 
 
-def test_fleet_throughput(record_bench):
+def test_fleet_throughput():
     specs = make_specs()
 
-    serial, serial_digests = bench_serial(specs)
+    serial_ms, serial_digests = bench_serial(specs)
     costs = bench_per_tenant_costs(specs)
-    model = model_sharded_rounds(costs)
 
     process_workers = 2 if TENANTS < 64 else GATED_WORKERS
-    process, process_digests = bench_process_backend(specs,
-                                                     process_workers)
+    process_ms, rollup, process_digests = bench_process_backend(
+        specs, process_workers)
 
     # Correctness first: the sharded run simulated the same fleet.
     assert equiv_view(process_digests) == equiv_view(serial_digests)
 
-    gated = model["workers"][str(GATED_WORKERS)]
-    payload = {
-        "description": "fleet-round throughput: serial CloudHost vs "
-                       "LPT-sharded scheduler (modeled) and the real "
-                       "process backend on this host",
-        "tenants": TENANTS,
-        "rounds": ROUNDS,
-        "full_scale": FULL_SCALE,
-        "host_cpu_count": os.cpu_count(),
-        "thresholds": {
-            "modeled_speedup_at_%d_workers" % GATED_WORKERS:
-                THRESHOLD_SPEEDUP,
-        },
-        "serial": serial,
-        "modeled": model,
-        "process_backend": {
-            "workers": process_workers,
-            **process,
-        },
-        "equivalence": "serial and sharded digests agree "
-                       "(incl. flight hash-chain heads)",
-    }
-    path = record_bench("fleet_throughput", extra=payload)
-    assert os.path.exists(path)
+    bench = harness.Bench(
+        "fleet_throughput",
+        "fleet-round throughput: serial CloudHost vs LPT-sharded scheduler "
+        "(modeled) and the real process backend on this host",
+        FULL_SCALE, tenants=TENANTS, rounds=ROUNDS)
+    serial_epochs = sum(digest["epochs_run"]
+                        for digest in serial_digests.values())
+    bench.case(
+        "round",
+        "wall ms per fleet round: %d serial CloudHost rounds; the process "
+        "backend's %d batched rounds on %d workers as one mean, with fork "
+        "and IPC" % (ROUNDS, ROUNDS, process_workers),
+        {"serial": serial_ms, "process": [process_ms / ROUNDS]},
+        serial_epochs_per_s=serial_epochs * 1000.0 / sum(serial_ms),
+        process_workers=process_workers,
+        process_epochs_per_s=rollup["epochs_total"] * 1000.0 / process_ms,
+        process_round_pause_p99_ms=rollup["round_pause_ms"]["p99"])
 
-    print("tenants=%d rounds=%d host_cpu_count=%s"
-          % (TENANTS, ROUNDS, os.cpu_count()))
-    print("serial:   %8.1f ms/round  (%.0f epochs/s)"
-          % (serial["mean_round_ms"], serial["epochs_per_s"]))
+    # The modeled round: the per-tenant costs packed by the scheduler's
+    # own LPT at each worker count, against their serial sum.
+    modeled_serial_ms = sum(costs.values())
+    modeled = {"serial_ms": modeled_serial_ms}
     for workers in WORKER_COUNTS:
-        row = model["workers"][str(workers)]
-        print("modeled %dw: %7.1f ms/round  speedup %5.2fx"
-              % (workers, row["makespan_ms"], row["speedup"]))
-    print("process %dw: %7.1f ms/round  (%.0f epochs/s, incl. IPC)"
-          % (process_workers, process["mean_round_ms"],
-             process["epochs_per_s"]))
-
-    assert gated["speedup"] >= THRESHOLD_SPEEDUP, (
-        "modeled %d-worker round speedup %.2fx < required %.2fx"
-        % (GATED_WORKERS, gated["speedup"], THRESHOLD_SPEEDUP)
-    )
+        makespan = lpt_assignment(costs, workers)[1]
+        modeled["makespan_ms_%dw" % workers] = makespan
+        modeled["speedup_%dw" % workers] = (
+            modeled_serial_ms / makespan if makespan else 1.0)
+    bench.case(
+        "modeled_round",
+        "mean per-tenant epoch ms over %d rounds, LPT-packed onto W "
+        "workers; a capacity estimate, not a measured parallel run"
+        % ROUNDS, {"tenant_epoch": list(costs.values())}, **modeled)
+    bench.gate("modeled_round", "speedup_%dw" % GATED_WORKERS, ">=",
+               THRESHOLD_SPEEDUP)
+    bench.finish(evidence={"equivalence": "serial and sharded digests "
+                                          "agree (incl. flight hash-chain "
+                                          "heads)"})

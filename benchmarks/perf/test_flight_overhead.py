@@ -8,14 +8,14 @@ of the whole epoch loop. The acceptance bar is the one the VMI
 container-monitoring literature sets for always-on monitors: the
 journal's own cost must stay **under 5%** of epoch wall time.
 
-Results go to ``BENCH_flight_overhead.json`` (schema ``crimes-obs/1``).
-The epoch count scales with ``CRIMES_PERF_FRAMES`` so the CI smoke run
+Results go to ``BENCH_flight_overhead.json``. The epoch count scales
+with ``CRIMES_PERF_FRAMES`` (see ``harness.py``) so the CI smoke run
 (2048) stays quick while the default run measures a longer loop; the 5%
-assertion holds at every scale — per-event cost is size-independent.
+ceiling holds at every scale — per-event cost is size-independent.
 """
 
 import os
-import time
+import sys
 
 from repro.core.config import CrimesConfig
 from repro.core.crimes import Crimes
@@ -24,15 +24,17 @@ from repro.guest.linux import LinuxGuest
 from repro.workloads.attacks import OverflowAttackProgram
 from repro.workloads.webserver import WebServerWorkload
 
-DEFAULT_FRAMES = 16384
-FRAMES = int(os.environ.get("CRIMES_PERF_FRAMES", DEFAULT_FRAMES))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import harness  # noqa: E402
+
 #: 256 epochs on the CI smoke, 512 at full scale (the guest heap feeds
 #: the web workload for ~1500 epochs before it would run dry).
-EPOCHS = max(32, min(512, FRAMES // 8))
+EPOCHS = max(32, min(512, harness.FRAMES // 8))
 OVERHEAD_CEILING_PCT = 5.0
 
 
-def _drive(epochs, seed=31):
+def test_flight_recorder_overhead():
+    seed = 31
     vm = LinuxGuest(name="flight-perf", memory_bytes=8 * 1024 * 1024,
                     seed=seed)
     crimes = Crimes(
@@ -42,45 +44,30 @@ def _drive(epochs, seed=31):
     crimes.install_module(CanaryScanModule())
     crimes.add_program(WebServerWorkload("light", seed=seed))
     # A detection at the end exercises the incident/bundle journal path.
-    crimes.add_program(OverflowAttackProgram(trigger_epoch=epochs))
+    crimes.add_program(OverflowAttackProgram(trigger_epoch=EPOCHS))
     crimes.start()
-    start = time.perf_counter()
-    crimes.run(max_epochs=epochs)
-    wall_s = time.perf_counter() - start
-    return crimes, wall_s
+    loop_ms = harness.timed(crimes.run, max_epochs=EPOCHS)[1]
 
-
-def test_flight_recorder_overhead(record_bench):
-    crimes, wall_s = _drive(EPOCHS)
     recorder = crimes.observer.flight
     overhead = recorder.overhead()
-    overhead_pct = 100.0 * overhead["wall_s"] / wall_s
-    per_event_us = (1e6 * overhead["wall_s"] / overhead["events_recorded"]
-                    if overhead["events_recorded"] else 0.0)
-
     assert crimes.last_incident is not None  # the incident path journaled
     assert recorder.verify_chain()["ok"]
 
-    path = record_bench("flight_overhead", extra={
-        "description": "flight-recorder self-overhead vs epoch wall time",
-        "epochs": crimes.epochs_run,
-        "events_recorded": overhead["events_recorded"],
-        "events_retained": len(recorder),
-        "evicted": recorder.evicted,
-        "recorder_wall_s": overhead["wall_s"],
-        "loop_wall_s": wall_s,
-        "overhead_pct": overhead_pct,
-        "per_event_us": per_event_us,
-        "ceiling_pct": OVERHEAD_CEILING_PCT,
-    })
-    assert os.path.exists(path)
-
-    print("flight recorder: %d events in %.3fs loop -> %.3f%% overhead "
-          "(%.2f us/event)"
-          % (overhead["events_recorded"], wall_s, overhead_pct,
-             per_event_us))
-
-    assert overhead_pct < OVERHEAD_CEILING_PCT, (
-        "flight recorder costs %.2f%% of epoch wall time (ceiling %.1f%%)"
-        % (overhead_pct, OVERHEAD_CEILING_PCT)
-    )
+    bench = harness.Bench(
+        "flight_overhead",
+        "flight-recorder self-overhead vs epoch wall time",
+        harness.FRAMES >= harness.DEFAULT_FRAMES, epochs=EPOCHS)
+    recorder_ms = overhead["wall_s"] * 1000.0
+    bench.case(
+        "journal",
+        "%d epochs of the light web workload ending in a detected "
+        "overflow; recorder is the journal's own metered time within loop"
+        % crimes.epochs_run,
+        {"loop": [loop_ms], "recorder": [recorder_ms]},
+        overhead_pct=100.0 * recorder_ms / loop_ms,
+        per_event_us=(1000.0 * recorder_ms / overhead["events_recorded"]
+                      if overhead["events_recorded"] else 0.0),
+        events_recorded=overhead["events_recorded"],
+        events_retained=len(recorder), evicted=recorder.evicted)
+    bench.gate("journal", "overhead_pct", "<", OVERHEAD_CEILING_PCT)
+    bench.finish()

@@ -53,6 +53,8 @@ KERNEL_TEXT_BASE = 0xFFFF_FFFF_8100_0000
 
 SYSCALL_COUNT = 64
 IDT_VECTORS = 32
+#: Buckets of the pid hash; a task's bucket is ``pid % PID_HASH_BUCKETS``.
+PID_HASH_BUCKETS = 64
 SOCKET_MAGIC = 0x4B434F53  # 'SOCK'
 
 TASK_STRUCT = StructDef(
@@ -237,10 +239,9 @@ class LinuxGuest(GuestVM):
         memory.write(files_pa, struct.pack("<Q", 0))
         self.symbols.define("file_table", kernel_va(files_pa))
 
-        # Pid hash: 64 buckets of task-struct VAs.
-        self._pid_hash_buckets = 64
-        pid_hash_pa = self.kalloc.allocate(self._pid_hash_buckets * 8, align=64)
-        memory.write(pid_hash_pa, b"\x00" * (self._pid_hash_buckets * 8))
+        # Pid hash: PID_HASH_BUCKETS buckets of task-struct VAs.
+        pid_hash_pa = self.kalloc.allocate(PID_HASH_BUCKETS * 8, align=64)
+        memory.write(pid_hash_pa, b"\x00" * (PID_HASH_BUCKETS * 8))
         self.symbols.define("pid_hash", kernel_va(pid_hash_pa))
 
         # Module list head (a u64 kernel variable holding the first module VA).
@@ -338,7 +339,7 @@ class LinuxGuest(GuestVM):
     def _pid_hash_insert(self, task_pa, pid):
         memory = self.memory
         bucket_pa = kernel_pa(self.symbols.lookup("pid_hash")) + (
-            pid % self._pid_hash_buckets
+            pid % PID_HASH_BUCKETS
         ) * 8
         head = struct.unpack("<Q", memory.read(bucket_pa, 8))[0]
         TASK_STRUCT.write_field(memory, task_pa, "pid_chain", head)
@@ -348,7 +349,7 @@ class LinuxGuest(GuestVM):
         memory = self.memory
         target_va = kernel_va(task_pa)
         bucket_pa = kernel_pa(self.symbols.lookup("pid_hash")) + (
-            pid % self._pid_hash_buckets
+            pid % PID_HASH_BUCKETS
         ) * 8
         current = struct.unpack("<Q", memory.read(bucket_pa, 8))[0]
         previous_pa = None

@@ -37,8 +37,6 @@ POOL_ALIGN = 64
 #: Most handles one Windows handle table may hold.
 MAX_HANDLES = 4096
 
-_PID_HASH_BUCKETS = 64
-
 
 def _u64(space, va):
     return struct.unpack("<Q", space.read_va(va, 8))[0]
@@ -85,7 +83,7 @@ def pid_hash(space):
     """Every pid-hash chain, bucket by bucket."""
     table = space.lookup_symbol("pid_hash")
     seen = set()
-    for bucket in range(_PID_HASH_BUCKETS):
+    for bucket in range(linux.PID_HASH_BUCKETS):
         yield from _chain(space, "pid-hash", linux.TASK_STRUCT, "pid_chain",
                           _u64(space, table + bucket * 8), seen)
 
