@@ -15,7 +15,10 @@ Measures three things about driving a large multi-tenant fleet:
 * **real process backend** — actual wall time of
   ``FleetScheduler(backend="process")`` batched rounds on this host,
   reported informationally (it includes fork + IPC cost and is bounded
-  by the cores actually present).
+  by the cores actually present);
+* **age** — serial round time early and late in one fleet's life
+  (rounds 21-25 against rounds 121-125), ungated: a tenant's per-epoch
+  host cost should not grow with the rounds it has run.
 
 The sharded run must also be *correct*: the benchmark asserts digest
 equivalence (virtual clocks, epoch counts, incident sets, hash-chain
@@ -53,6 +56,9 @@ GATED_WORKERS = 4
 #: attacked/suspended tenants. The smoke floor is looser because tiny
 #: fleets pack worse.
 THRESHOLD_SPEEDUP = 3.0 if FULL_SCALE else 1.5
+
+#: The age case's serial rounds of one fleet (1-based, inclusive).
+AGE_ROUNDS = {"early": (21, 25), "late": (121, 125)}
 
 EQUIV_KEYS = ("clock_ms", "epochs_run", "suspended", "quarantined",
               "quarantine_reason", "flight_head")
@@ -110,6 +116,20 @@ def bench_per_tenant_costs(specs):
     return {name: sum(ms) / len(ms) for name, ms in samples.items()}
 
 
+def bench_age(specs):
+    """``{side: [ms, ...]}``: the serial rounds of one fleet that
+    ``AGE_ROUNDS`` names, each timed on its own."""
+    host = CloudHost()
+    admit_all(host, specs)
+    samples = {side: [] for side in AGE_ROUNDS}
+    for number in range(1, AGE_ROUNDS["late"][1] + 1):
+        elapsed_ms = harness.timed(host.run_round)[1]
+        for side, (first, last) in AGE_ROUNDS.items():
+            if first <= number <= last:
+                samples[side].append(elapsed_ms)
+    return samples
+
+
 def bench_process_backend(specs, workers):
     """Wall ms of ``ROUNDS`` batched rounds of the process backend."""
     with FleetScheduler(workers=workers, backend="process") as fleet:
@@ -136,7 +156,8 @@ def test_fleet_throughput():
         "fleet_throughput",
         "fleet-round throughput: serial CloudHost vs LPT-sharded scheduler "
         "(modeled) and the real process backend on this host",
-        FULL_SCALE, tenants=TENANTS, rounds=ROUNDS)
+        FULL_SCALE, tenants=TENANTS, rounds=ROUNDS,
+        age_rounds=AGE_ROUNDS)
     serial_epochs = sum(digest["epochs_run"]
                         for digest in serial_digests.values())
     bench.case(
@@ -166,6 +187,15 @@ def test_fleet_throughput():
         % ROUNDS, {"tenant_epoch": list(costs.values())}, **modeled)
     bench.gate("modeled_round", "speedup_%dw" % GATED_WORKERS, ">=",
                THRESHOLD_SPEEDUP)
+
+    # Last, so its long-lived fleet cannot slow the gated runs.
+    age = bench_age(specs)
+    bench.case(
+        "age",
+        "wall ms per serial CloudHost round of one fleet, rounds %d-%d "
+        "(early) and %d-%d (late); ungated"
+        % (AGE_ROUNDS["early"] + AGE_ROUNDS["late"]), age,
+        late_over_early=harness.ratio(age["late"], age["early"]))
     bench.finish(evidence={"equivalence": "serial and sharded digests "
                                           "agree (incl. flight hash-chain "
                                           "heads)"})

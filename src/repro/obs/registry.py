@@ -42,10 +42,6 @@ class _Instrument:
         self._clock = clock
         self.updated_at_ms = None
 
-    def _touch(self):
-        if self._clock is not None:
-            self.updated_at_ms = self._clock.now
-
 
 class Counter(_Instrument):
     """A monotonically increasing count (commits, findings, packets...)."""
@@ -62,7 +58,8 @@ class Counter(_Instrument):
                 "counter %r cannot decrease (inc by %r)" % (self.name, amount)
             )
         self.value += amount
-        self._touch()
+        if self._clock is not None:
+            self.updated_at_ms = self._clock.now
         return self.value
 
     def snapshot(self):
@@ -80,7 +77,8 @@ class Gauge(_Instrument):
 
     def set(self, value):
         self.value = value
-        self._touch()
+        if self._clock is not None:
+            self.updated_at_ms = self._clock.now
         return value
 
     def snapshot(self):
@@ -115,11 +113,19 @@ class Histogram(_Instrument):
         value = float(value)
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        # What min()/max() pick, NaN included: the bound moves only for
+        # a value strictly past it.
+        if self.min is None:
+            self.min = self.max = value
+        else:
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
         # The first bound >= value; len(buckets) is the overflow bucket.
         self.bucket_counts[bisect.bisect_left(self.buckets, value)] += 1
-        self._touch()
+        if self._clock is not None:
+            self.updated_at_ms = self._clock.now
 
     @property
     def mean(self):

@@ -13,7 +13,6 @@ are counted in ``dropped`` instead of stored, so tracing can stay on
 for arbitrarily long fleet runs.
 """
 
-import contextlib
 import itertools
 import time
 
@@ -68,18 +67,47 @@ class SpanEvent:
 
 
 class _OpenSpan:
-    __slots__ = ("span_id", "parent_id", "name", "start_ms", "attrs",
-                 "wall_start_s", "extra_ms")
+    """One span from ``__enter__`` to ``__exit__``: :meth:`Tracer.span`.
 
-    def __init__(self, span_id, parent_id, name, start_ms, attrs,
-                 wall_start_s):
-        self.span_id = span_id
-        self.parent_id = parent_id
+    The span takes its id, parent and start when it is entered, not when
+    it is made. Exiting pops whatever span is on top of the tracer's
+    stack and records this one, even when the block raised; the
+    exception goes on.
+    """
+
+    __slots__ = ("tracer", "span_id", "parent_id", "name", "start_ms",
+                 "attrs", "wall_start_s", "extra_ms")
+
+    def __init__(self, tracer, name, attrs):
+        self.tracer = tracer
         self.name = name
-        self.start_ms = start_ms
         self.attrs = attrs
-        self.wall_start_s = wall_start_s
         self.extra_ms = 0.0
+
+    def __enter__(self):
+        tracer = self.tracer
+        stack = tracer._stack
+        self.parent_id = stack[-1].span_id if stack else None
+        self.span_id = next(tracer._ids)
+        self.start_ms = tracer.clock.now
+        self.wall_start_s = (time.perf_counter() if tracer.capture_wall
+                             else None)
+        stack.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        tracer = self.tracer
+        # The pop is guarded: a span still open when its tenant was
+        # quarantined was abort-closed with the rest of the stack, and
+        # may exit later to an empty one.
+        if tracer._stack:
+            tracer._stack.pop()
+        tracer._record(SpanEvent(
+            self.span_id, self.parent_id, self.name, self.start_ms,
+            tracer.clock.now + self.extra_ms, self.attrs, self.wall_start_s,
+            time.perf_counter() if tracer.capture_wall else None,
+        ))
+        return False
 
     def annotate(self, **attrs):
         self.attrs.update(attrs)
@@ -107,41 +135,14 @@ class Tracer:
             return
         self.events.append(event)
 
-    @contextlib.contextmanager
     def span(self, name, **attrs):
         """Context manager: record one span around the enclosed block.
 
-        Yields the open span, so the block can ``annotate(...)`` results
-        or ``attribute_ms(...)`` virtual time charged after the block.
+        Entering it yields the open span, so the block can
+        ``annotate(...)`` results or ``attribute_ms(...)`` virtual time
+        charged after the block.
         """
-        parent_id = self._stack[-1].span_id if self._stack else None
-        open_span = _OpenSpan(
-            span_id=next(self._ids),
-            parent_id=parent_id,
-            name=name,
-            start_ms=self.clock.now,
-            attrs=dict(attrs),
-            wall_start_s=time.perf_counter() if self.capture_wall else None,
-        )
-        self._stack.append(open_span)
-        try:
-            yield open_span
-        finally:
-            # The pop is guarded: a leaked span that was already
-            # abort-closed (tenant quarantine) leaves nothing on the
-            # stack by the time its abandoned context is finalized.
-            if self._stack:
-                self._stack.pop()
-            self._record(SpanEvent(
-                span_id=open_span.span_id,
-                parent_id=open_span.parent_id,
-                name=open_span.name,
-                start_ms=open_span.start_ms,
-                end_ms=self.clock.now + open_span.extra_ms,
-                attrs=open_span.attrs,
-                wall_start_s=open_span.wall_start_s,
-                wall_end_s=time.perf_counter() if self.capture_wall else None,
-            ))
+        return _OpenSpan(self, name, attrs)
 
     def event(self, name, **attrs):
         """Record a zero-duration point event (verdicts, incidents...)."""

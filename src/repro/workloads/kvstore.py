@@ -12,7 +12,8 @@ to an aggregation server — the exact exfiltration Synchronous Safety
 nullifies.
 """
 
-import struct
+import bisect
+from array import array
 
 from repro.guest.devices import Packet
 from repro.sim.rng import SeededStream
@@ -36,7 +37,16 @@ class KeyValueStoreProgram(GuestProgram):
         self._rng = SeededStream(seed, "kvstore")
         self._epoch = 0
         self._pid = None
-        self._index = {}  # key -> value vaddr
+        # A key's slot is its insertion position (keys are never
+        # deleted): it indexes the record addresses and picks the disk
+        # block. The keys' UTF-8 bytes back to back in slot order, and
+        # where each one ends, are the index's snapshot form.
+        self._slots = {}  # key -> slot
+        self._addrs = array("Q")  # slot -> record vaddr
+        self._key_bytes = bytearray()
+        self._key_ends = array("Q")
+        # The "epoch:" keys, kept sorted as they arrive: what step() serves.
+        self._servable = []
 
     def bind(self, vm):
         super().bind(vm)
@@ -61,34 +71,37 @@ class KeyValueStoreProgram(GuestProgram):
         """Insert/overwrite a record; persists to disk as well."""
         process = self.process
         encoded = value.encode("utf-8")[:_VALUE_SIZE]
-        # A key's disk slot is its position in the insertion-ordered
-        # index (keys are never deleted).
-        if key in self._index:
-            vaddr = self._index[key]
-            slot = list(self._index).index(key)
-        else:
+        encoded_key = key.encode("utf-8")
+        slot = self._slots.get(key)
+        if slot is None:
             vaddr = process.malloc(_RECORD_SIZE)
-            slot = len(self._index)
-            self._index[key] = vaddr
-        record = key.encode("utf-8")[:30].ljust(32, b"\x00") + \
+            slot = self._slots[key] = len(self._addrs)
+            self._addrs.append(vaddr)
+            self._key_bytes += encoded_key
+            self._key_ends.append(len(self._key_bytes))
+            if key.startswith("epoch:"):
+                bisect.insort(self._servable, key)
+        else:
+            vaddr = self._addrs[slot]
+        record = encoded_key[:30].ljust(32, b"\x00") + \
             encoded.ljust(_VALUE_SIZE, b"\x00")
         process.write(vaddr, record)
         self.vm.disk.write(self.disk_block_base + slot % 256, record)
         return vaddr
 
     def get(self, key):
-        vaddr = self._index.get(key)
-        if vaddr is None:
+        slot = self._slots.get(key)
+        if slot is None:
             return None
-        raw = self.process.read(vaddr, _RECORD_SIZE)
+        raw = self.process.read(self._addrs[slot], _RECORD_SIZE)
         return raw[32:].split(b"\x00", 1)[0].decode("utf-8")
 
     def keys(self):
-        return sorted(self._index)
+        return sorted(self._slots)
 
     def record_addresses(self):
         """(key, vaddr) pairs — what an in-guest attacker can learn."""
-        return sorted(self._index.items())
+        return sorted(zip(self._slots, self._addrs))
 
     # -- epoch behaviour ------------------------------------------------------
 
@@ -103,7 +116,7 @@ class KeyValueStoreProgram(GuestProgram):
         # Serve queries over ordinary (non-secret) records only; the
         # seeded secrets are internal state a well-behaved server never
         # puts on the wire verbatim.
-        servable = [key for key in self.keys() if key.startswith("epoch:")]
+        servable = self._servable
         for _ in range(self.queries_per_epoch):
             key = self._rng.choice(servable)
             value = self.get(key)
@@ -117,13 +130,33 @@ class KeyValueStoreProgram(GuestProgram):
         return {"synthetic_dirty": 0}
 
     def state_dict(self):
+        """The scalars plus the index as ``bytes`` leaves.
+
+        ``keys`` is the UTF-8 keys back to back in slot order; ``key_ends``
+        (where each key ends in it) and ``addrs`` (each record's address)
+        are ``array("Q")`` bytes. Offsets rather than a separator keep
+        any key intact, and freezing the state copies three flat buffers
+        instead of pickling an object per record.
+        """
         return {"epoch": self._epoch, "pid": self._pid,
-                "index": dict(self._index)}
+                "keys": bytes(self._key_bytes),
+                "key_ends": self._key_ends.tobytes(),
+                "addrs": self._addrs.tobytes()}
 
     def load_state_dict(self, state):
         self._epoch = state["epoch"]
         self._pid = state["pid"]
-        self._index = dict(state["index"])
+        self._key_bytes = bytearray(state["keys"])
+        self._key_ends = array("Q", state["key_ends"])
+        self._addrs = array("Q", state["addrs"])
+        keys = []
+        start = 0
+        for end in self._key_ends:
+            keys.append(self._key_bytes[start:end].decode("utf-8"))
+            start = end
+        self._slots = {key: slot for slot, key in enumerate(keys)}
+        self._servable = sorted(key for key in keys
+                                if key.startswith("epoch:"))
 
 
 class DataTheftProgram(GuestProgram):

@@ -233,7 +233,7 @@ EXPECTED = {
         "records_sha256":
             "bc332b9f1da99b59569f063067e73d0fe59966a84d09cad0ed1017f1e01b7297",
         "state_sha256":
-            "cb367df5c8d43dba0d29d865906cc158146e0f376b65eee678887e5dbe429d17",
+            "a9631a5b74944e9dc096721b4bfc9f41dc694c42b9242f2d2969c32cb27f3fb7",
     },
     "accounting-checkpoint-failed-raises": {
         "outcomes": ["committed", "committed"],
@@ -258,7 +258,7 @@ EXPECTED = {
         "records_sha256":
             "bc332b9f1da99b59569f063067e73d0fe59966a84d09cad0ed1017f1e01b7297",
         "state_sha256":
-            "cb367df5c8d43dba0d29d865906cc158146e0f376b65eee678887e5dbe429d17",
+            "a9631a5b74944e9dc096721b4bfc9f41dc694c42b9242f2d2969c32cb27f3fb7",
     },
     "accounting-hold-budget-raises": {
         "outcomes": ["committed", "committed", "held"],
@@ -284,7 +284,7 @@ EXPECTED = {
         "records_sha256":
             "e32cb088681550dce4609295d3aeed0578e353aa4a49cb88b3f04badd5cabb3e",
         "state_sha256":
-            "c077d0203cb9a3ca34bb5be6d39418c6e649ffd1857be546bc7dd1dbfb468593",
+            "a7a7ca67486745185cfcc5227accc6d1bbcd582cf4f9ca431653a31369e39dbb",
     },
     "async-verdict-attack": {
         "outcomes": ["committed"] * 13,
@@ -309,7 +309,7 @@ EXPECTED = {
         "records_sha256":
             "ed7a9a24d50d10bf4b9c404ca29ceea6fae3d545583e7e78ee121bcf8f67cb0c",
         "state_sha256":
-            "bdd356274ac509966118df9f6ebbb236d66b60d7a2c50bc4d66d065e3ae1bc7c",
+            "6565820e077c88e21ed4b3b32905d5e6ce91580b7ac2da16a658266322b182e2",
     },
     "attack-auto-respond": {
         "outcomes": ["committed", "committed", "attack"],
@@ -334,7 +334,7 @@ EXPECTED = {
         "records_sha256":
             "9ec59e0052d5395dcade03c9b7011e1bbfd8a1a4e79b691c14d8a9cffd1f9ab8",
         "state_sha256":
-            "848ab04ff6d4f75e681dbfb581260c36cdab3df7594e30165a0d52603d1fa520",
+            "4debc905c1d7df28e34f8deea67fbd36ebbeca94272be15bd1fae43e265b2b54",
     },
     "audit-error": {
         "outcomes": ["committed"] * 2 + ["rolled-back"] * 3,
@@ -359,7 +359,7 @@ EXPECTED = {
         "records_sha256":
             "bb2e61a5a611abcb585d192e9b1597f416eb833025029929aa0194c7c97fdbc6",
         "state_sha256":
-            "a900d38ab6afff3071f1555721cd8e29cb623928a8f89e18883bf25b3b30eb36",
+            "2d28cbcd89205ee6a96a288e3ddd14f60623ad7f882f90397fd1b9ff425977ea",
     },
     "audit-timeout-budget": {
         "outcomes": ["committed"] * 2 + ["rolled-back"] * 3,
@@ -384,7 +384,7 @@ EXPECTED = {
         "records_sha256":
             "7d6ef45e469ead74e82d6c4b91e8e7afc25b57cc9d44394ea8010b33f3d93fe7",
         "state_sha256":
-            "a900d38ab6afff3071f1555721cd8e29cb623928a8f89e18883bf25b3b30eb36",
+            "2d28cbcd89205ee6a96a288e3ddd14f60623ad7f882f90397fd1b9ff425977ea",
     },
     "audit-timeout-plane": {
         "outcomes": ["committed"] * 2 + ["rolled-back"] * 3,
@@ -409,7 +409,7 @@ EXPECTED = {
         "records_sha256":
             "67355e8a437cf2177d19fce5ae32d62e4fe4888bdbdbcad5ddfcf8488caa6303",
         "state_sha256":
-            "a900d38ab6afff3071f1555721cd8e29cb623928a8f89e18883bf25b3b30eb36",
+            "2d28cbcd89205ee6a96a288e3ddd14f60623ad7f882f90397fd1b9ff425977ea",
     },
     "checkpoint-failed": {
         "outcomes": ["committed"] * 2 + ["rolled-back"] * 3,
@@ -434,7 +434,7 @@ EXPECTED = {
         "records_sha256":
             "09257c41f7ee525ca53ec1b1a5609c1bdb359fe66a59dab826408e9aa6e60ee8",
         "state_sha256":
-            "a900d38ab6afff3071f1555721cd8e29cb623928a8f89e18883bf25b3b30eb36",
+            "2d28cbcd89205ee6a96a288e3ddd14f60623ad7f882f90397fd1b9ff425977ea",
     },
     "clock-skew": {
         "outcomes": ["committed", "committed", "committed", "committed"],
@@ -459,7 +459,7 @@ EXPECTED = {
         "records_sha256":
             "7e0aa2f1abea75c04eebcbef9c05a6d417e9ad3f779d2572fd0b267fea299ded",
         "state_sha256":
-            "daa214a4ee352ed48d2849a800a0bab5841290469e78d7aafd4fd71dcb537d32",
+            "ff2b2cef98059348d7306bd379684a7b41a3cad594999e101a053d8844f82d7f",
     },
     "committed": {
         "outcomes": ["committed", "committed", "committed", "committed"],
@@ -484,7 +484,7 @@ EXPECTED = {
         "records_sha256":
             "d3525697c402720b49a9e674025f6d5e94f994a4e77fc65ed64062e757ef788b",
         "state_sha256":
-            "c7a2b57076ab9f2ce689a8207ea79aa93e4fc057aaddbf460ce7d2c826d46b89",
+            "87edc5eb48f47f781372360ece21cd3470fc942d7f081f8b9619cb6c693179f8",
     },
     "held-backup-sync-recovered": {
         "outcomes": ["committed"] * 2 + ["held"] + ["committed"] * 3,
@@ -509,7 +509,7 @@ EXPECTED = {
         "records_sha256":
             "d1ce88b64507722b9db1868c193c5e7c5a29a897fef30f3acd0f0336a8b14135",
         "state_sha256":
-            "e8ee5ef918333ca272dbfc4d8ef1b4a966781b1c65576c80d0242e8a913d8b75",
+            "8e2c38d28242b00cadb27b398437e66ecbd8e1112b30c9382658efd2f33f4fef",
     },
     "held-netbuf-release": {
         "outcomes": ["committed"] * 2 + ["held"] * 2 + ["committed"] * 2,
@@ -534,7 +534,7 @@ EXPECTED = {
         "records_sha256":
             "82e524caaf3e761b4c4f422e3439b84c7a4c579e03ea8b52e59f5cde43a811df",
         "state_sha256":
-            "552ea96a48437f2aa6ea80ef623c6148d110863af0969af8e79b97cb980e83d1",
+            "1d016550527fdc72d75a1ecb79472332e4a0621b60840b3e034626aaa32c8c4c",
     },
     "held-then-audit-error-sheds": {
         "outcomes": ["committed"] * 2 + ["held", "rolled-back"]
@@ -560,7 +560,7 @@ EXPECTED = {
         "records_sha256":
             "b8ab62e66644fb6ac1789b1424c483ebb98e5d37df5e6d0a1b4b70e82a4d900c",
         "state_sha256":
-            "aab500efcd55f7e83f8dece29a0428bb82bd6eaf35928a1a7abf10e9f0295e65",
+            "3379de84ebc28703e45e92033b61b436a6b56aa28f8549bcb759fbe86a8857d4",
     },
     "overlap-audit-attack": {
         "outcomes": ["committed", "committed", "committed", "attack"],
@@ -585,7 +585,7 @@ EXPECTED = {
         "records_sha256":
             "191f8ea86ef1a4069f2023bc0185521fdc2c4c2f06a1a66e8b022b3878cc0498",
         "state_sha256":
-            "fe9ff8bf0fbb3b4c0293527fadbdde78ef6e50f2d51baca36a573610cdfb097e",
+            "af519c9e87628ebf883fa46bc02f4fa50620e5936fcfa91e762be33a13c67cba",
     },
     "scan-disabled": {
         "outcomes": ["committed", "committed", "committed"],
@@ -610,7 +610,7 @@ EXPECTED = {
         "records_sha256":
             "273432df3d36e3429cac939044e5912f034007412091c37de0f103ecf4372dc7",
         "state_sha256":
-            "475d29c846192093865dac81aa2f4ec1cb7210a74d4f2617f7ebd4db6b7dc94e",
+            "aa371b96be24fae49e3d7ba53b41dcad034fcc573a2c2c222b962fffc0ff8374",
     },
     "shed-backup-sync": {
         "outcomes": ["committed"] * 2
@@ -636,7 +636,7 @@ EXPECTED = {
         "records_sha256":
             "849e89f31a47822375018690407519013e9bffc308c0cd6e6bfda7549e5b5e39",
         "state_sha256":
-            "46a5a5425adb4f43a3acf9544b3e2017ce922a56456687c7e55ed09e4f09b0a1",
+            "f196d00b0e103dafce4c0ba812bb063665f59ecb63102e162e01fb0d75cbebc5",
     },
     "shed-netbuf-release": {
         "outcomes": ["committed"] * 2
@@ -662,7 +662,7 @@ EXPECTED = {
         "records_sha256":
             "daba5d42b8b9913134932aa68494060df40b13df0027ae27da0701cbc37d1751",
         "state_sha256":
-            "69be3ad3c277a834f1bf73e3362e12360fcc434c22585e831330ff3ebec2135f",
+            "5494df385bf0e1a6a4f94bdafd0665a67311b9f09e812baa218610a57126ebce",
     },
 }
 

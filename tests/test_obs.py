@@ -4,6 +4,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import CrimesConfig
 from repro.core.crimes import PHASE_ORDER, Crimes
@@ -11,6 +12,9 @@ from repro.detectors.canary import CanaryScanModule
 from repro.errors import ObservabilityError
 from repro.guest.linux import LinuxGuest
 from repro.obs import (
+    DEFAULT_COUNT_BUCKETS,
+    DEFAULT_MS_BUCKETS,
+    Histogram,
     MetricsRegistry,
     Observer,
     Tracer,
@@ -173,6 +177,118 @@ class TestTracer:
         assert summary["by_name"]["epoch"] == {
             "count": 3, "total_ms": pytest.approx(30.0),
         }
+
+
+class TestSpanAndInstrumentContract:
+    """What a span and an instrument do beyond what the goldens pin:
+    entry order, exceptions, a span left open inside another, and
+    histogram statistics over every kind of float."""
+
+    def test_id_and_parent_are_drawn_at_enter(self):
+        tracer = Tracer(VirtualClock())
+        first = tracer.span("first")
+        second = tracer.span("second")
+        with second:
+            with first:
+                pass
+        inner, outer = tracer.events
+        assert (outer.name, outer.span_id, outer.parent_id) == \
+            ("second", 1, None)
+        assert (inner.name, inner.span_id, inner.parent_id) == \
+            ("first", 2, 1)
+
+    def test_exception_records_the_span_and_propagates(self):
+        clock = VirtualClock()
+        tracer = Tracer(clock)
+        with pytest.raises(KeyError):
+            with tracer.span("outer"):
+                with tracer.span("failing", tag=1) as span:
+                    span.attribute_ms(2.0)
+                    clock.advance(3.0)
+                    raise KeyError("scan blew up")
+        failing, outer = tracer.events
+        assert (failing.name, failing.parent_id, failing.duration_ms,
+                failing.attrs) == ("failing", outer.span_id, 5.0, {"tag": 1})
+        assert (outer.name, outer.duration_ms) == ("outer", 3.0)
+        assert tracer.open_spans() == []
+        assert tracer.current_span_id is None
+
+    def test_exit_pops_whatever_is_on_top_of_the_stack(self):
+        """A span entered and never exited inside another (the pattern
+        of ``tests/test_fleet.py::SpanLeakingModule``)."""
+        clock = VirtualClock()
+        tracer = Tracer(clock)
+        with pytest.raises(RuntimeError):
+            with tracer.span("epoch"):
+                with tracer.span("audit"):
+                    leaked = tracer.span("leaked")
+                    leaked.__enter__()
+                    raise RuntimeError("scanner crashed mid-span")
+        # "audit" popped the leaked span, and "epoch" popped "audit":
+        # each recorded its own event, and "epoch" stays open.
+        assert [(event.name, event.span_id, event.parent_id)
+                for event in tracer.events] == [("audit", 2, 1),
+                                                 ("epoch", 1, None)]
+        assert [(span["name"], span["span_id"])
+                for span in tracer.open_spans()] == [("epoch", 1)]
+        clock.advance(4.0)
+        assert tracer.abort_open("quarantine") == 1
+        aborted = tracer.events[-1]
+        assert (aborted.name, aborted.span_id, aborted.end_ms,
+                aborted.attrs) == ("epoch", 1, 4.0,
+                                   {"aborted": True,
+                                    "abort_reason": "quarantine"})
+        # Exiting the leaked span later finds an empty stack.
+        assert not leaked.__exit__(None, None, None)
+        late = tracer.events[-1]
+        assert (late.name, late.span_id, late.parent_id, late.attrs) == \
+            ("leaked", 3, 2, {})
+        assert len(tracer.events) == 4
+
+    def test_instruments_stamp_the_virtual_clock(self):
+        clock = VirtualClock()
+        registry = MetricsRegistry(clock)
+        clock.advance(7.5)
+        registry.gauge("g").set(3)
+        registry.histogram("h").observe(1.0)
+        assert registry.get("g").updated_at_ms == 7.5
+        assert registry.get("h").updated_at_ms == 7.5
+        unclocked = MetricsRegistry()
+        unclocked.counter("c").inc()
+        unclocked.histogram("h").observe(1.0)
+        assert unclocked.get("c").updated_at_ms is None
+        assert unclocked.get("h").updated_at_ms is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.sampled_from([0.0, -0.0, float("nan"), float("inf"),
+                         float("-inf")]),
+        st.integers(-10 ** 6, 10 ** 6)), max_size=40),
+        st.sampled_from([DEFAULT_MS_BUCKETS, DEFAULT_COUNT_BUCKETS,
+                         (1.0,), (-1.0, 0.0, 1.0)]))
+    def test_histogram_matches_a_min_max_reference(self, values, buckets):
+        clock = VirtualClock()
+        histogram = Histogram("h", buckets=buckets, clock=clock)
+        bounds = sorted(float(bound) for bound in buckets)
+        count, total, low, high = 0, 0.0, None, None
+        counts = [0] * (len(bounds) + 1)
+        for value in values:
+            clock.advance(1.0)
+            histogram.observe(value)
+            value = float(value)
+            count += 1
+            total += value
+            low = value if low is None else min(low, value)
+            high = value if high is None else max(high, value)
+            # The first bound >= value: the number of bounds below it
+            # (none for NaN, which compares false to every bound).
+            counts[sum(1 for bound in bounds if bound < value)] += 1
+            assert histogram.updated_at_ms == clock.now
+        # repr() tells -0.0 from 0.0 and lets NaN equal NaN.
+        assert repr((histogram.count, histogram.sum, histogram.min,
+                     histogram.max)) == repr((count, total, low, high))
+        assert histogram.bucket_counts == counts
 
 
 class TestExporters:
