@@ -109,7 +109,9 @@ def test_wallclock_substrate():
             harness.rollback_run(old, dirty))
 
     # Every harvest, of either bitmap, must find the same dirty set and
-    # virtual-cost inputs: the scan stats feed the paper's cost model.
+    # scan stats (words and bits visited): the stats are what Fig. 6b's
+    # functional check compares. The cost model prices the bitscan from
+    # the optimization level and the dirty count alone.
     dirty_pfns = random.Random(7).sample(range(FRAMES),
                                          int(FRAMES * HARVEST_DENSITY))
     harvests = []

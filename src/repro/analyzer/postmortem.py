@@ -14,8 +14,13 @@ Every other finding (kernel tables, modules, hidden Linux processes,
 connections, a corrupt canary table) gets :meth:`PostMortem.integrity_report`;
 :meth:`PostMortem.report` picks the report from what the finding
 carries.
+
+Every plugin run goes through :meth:`PostMortem._run`: a structure a
+dump cannot read (a :class:`ForensicsError`) becomes a section saying
+so, and the report is still built, since that is evidence too.
 """
 
+from repro.errors import ForensicsError
 from repro.forensics.dumps import diff_rows
 from repro.forensics.volatility import VolatilityFramework
 
@@ -90,6 +95,29 @@ class PostMortem:
     def take_cost_ms(self):
         return self.volatility.take_cost_ms()
 
+    def _run(self, report, plugin, dump, **options):
+        """The rows of one ``plugin`` run over ``dump`` (charged before it
+        runs), or None with a section of ``report`` naming the plugin,
+        the dump and the error when the dump cannot be read."""
+        try:
+            return self.volatility.run(plugin, dump, **options)
+        except ForensicsError as err:
+            report.add_section(
+                "Unreadable: %s over the %s dump" % (plugin, dump.label),
+                str(err))
+            report.artifacts.setdefault("unreadable", []).append(
+                {"plugin": plugin, "dump": dump.label, "error": str(err)})
+            return None
+
+    def _diff(self, report, plugin, dump_clean, dump_detected, key):
+        """``diff_rows`` of ``plugin`` over the clean and the detected
+        dump, or None when either cannot be read."""
+        before = self._run(report, plugin, dump_clean)
+        after = self._run(report, plugin, dump_detected)
+        if before is None or after is None:
+            return None
+        return diff_rows(before, after, key=key)
+
     def report(self, dump_clean, dump_detected, finding, pinpoint=None,
                dump_at_attack=None):
         """The report for ``finding``, chosen by what it carries: an
@@ -109,27 +137,18 @@ class PostMortem:
         """Section + artifact: TCP endpoints absent from the clean dump."""
         plugin = ("netscan" if dump_detected.os_name == "windows"
                   else "linux_netstat")
-        sockets_before = self.volatility.run(plugin, dump_clean)
-        sockets_after = self.volatility.run(plugin, dump_detected)
-        new_sockets, _closed = diff_rows(
-            sockets_before, sockets_after,
+        delta = self._diff(
+            report, plugin, dump_clean, dump_detected,
             key=lambda row: (row["owner_pid"], row["local"], row["remote"]),
         )
-        report.add_section(
-            heading,
-            _format_table(
-                [
-                    {
-                        "Protocol": row["protocol"],
-                        "Local Address": row["local"],
-                        "Foreign Address": row["remote"],
-                        "State": row["state"],
-                    }
-                    for row in new_sockets
-                ],
-                ["Protocol", "Local Address", "Foreign Address", "State"],
-            ),
-        )
+        if delta is None:
+            return
+        new_sockets, _closed = delta
+        report.add_section(heading, _format_table(
+            [{"Protocol": row["protocol"], "Local Address": row["local"],
+              "Foreign Address": row["remote"], "State": row["state"]}
+             for row in new_sockets],
+            ["Protocol", "Local Address", "Foreign Address", "State"]))
         report.add_artifact("new_sockets", new_sockets)
 
     def _hidden_processes(self, report, heading, dump):
@@ -138,8 +157,10 @@ class PostMortem:
             plugin, views = "psxview", ["in_pslist", "in_psscan"]
         else:
             plugin, views = "linux_psxview", ["in_pslist", "in_pid_hash"]
-        hidden = [row for row in self.volatility.run(plugin, dump)
-                  if row["suspicious"]]
+        rows = self._run(report, plugin, dump)
+        if rows is None:
+            return
+        hidden = [row for row in rows if row["suspicious"]]
         columns = ["name", "pid"] + views
         report.add_section(
             heading,
@@ -175,38 +196,28 @@ class PostMortem:
             "Finding", "%s\nepoch evidence: %s" % (finding.summary, evidence)
         )
 
-        maps = self.volatility.run("linux_proc_maps", dump_detected, pid=pid)
-        report.add_section(
-            "Process memory map (pid %d)" % pid,
-            _format_table(
-                [
-                    {
-                        "start": "0x%x" % row["start"],
-                        "end": "0x%x" % row["end"],
-                        "region": row["name"],
-                    }
-                    for row in maps
-                ],
-                ["start", "end", "region"],
-            ),
-        )
-        report.add_artifact("proc_maps", maps)
+        maps = self._run(report, "linux_proc_maps", dump_detected, pid=pid)
+        if maps is not None:
+            rows = [{"start": "0x%x" % row["start"],
+                     "end": "0x%x" % row["end"], "region": row["name"]}
+                    for row in maps]
+            report.add_section("Process memory map (pid %d)" % pid,
+                               _format_table(rows, ["start", "end", "region"]))
+            report.add_artifact("proc_maps", maps)
 
-        heap_dump = self.volatility.run(
-            "linux_dump_map", dump_detected, pid=pid, region="heap"
-        )
-        report.add_artifact("heap_dump", heap_dump[0]["data"])
-        object_addr = finding.details["object_addr"]
-        heap_base = heap_dump[0]["start"]
-        offset = object_addr - heap_base
-        window = heap_dump[0]["data"][
-            max(offset - 16, 0) : offset + finding.details["object_size"] + 24
-        ]
-        report.add_section(
-            "Heap bytes around the overflowed object",
-            "object at heap+0x%x; %d-byte window:\n%s"
-            % (offset, len(window), window.hex()),
-        )
+        heap_dump = self._run(report, "linux_dump_map", dump_detected,
+                              pid=pid, region="heap")
+        if heap_dump is not None:
+            heap = heap_dump[0]
+            report.add_artifact("heap_dump", heap["data"])
+            offset = finding.details["object_addr"] - heap["start"]
+            end = offset + finding.details["object_size"] + 24
+            window = heap["data"][max(offset - 16, 0):end]
+            report.add_section(
+                "Heap bytes around the overflowed object",
+                "object at heap+0x%x; %d-byte window:\n%s"
+                % (offset, len(window), window.hex()),
+            )
 
         if pinpoint is not None and pinpoint.matched:
             report.add_section(
@@ -220,32 +231,27 @@ class PostMortem:
         self._new_sockets(report, "Connections opened during the attacked "
                           "epoch", dump_clean, dump_detected)
 
-        files_before = self.volatility.run("linux_lsof", dump_clean)
-        files_after = self.volatility.run("linux_lsof", dump_detected)
-        new_files, _closed_files = diff_rows(
-            files_before, files_after,
-            key=lambda row: (row["pid"], row["path"]),
-        )
-        report.add_section(
-            "Files opened during the attacked epoch",
-            "\n".join("pid %d: %s" % (row["pid"], row["path"])
-                      for row in new_files) or "(none)",
-        )
-        report.add_artifact("new_files", new_files)
+        files = self._diff(report, "linux_lsof", dump_clean, dump_detected,
+                           key=lambda row: (row["pid"], row["path"]))
+        if files is not None:
+            new_files, _closed_files = files
+            report.add_section(
+                "Files opened during the attacked epoch",
+                "\n".join("pid %d: %s" % (row["pid"], row["path"])
+                          for row in new_files) or "(none)",
+            )
+            report.add_artifact("new_files", new_files)
 
-        processes_before = self.volatility.run("linux_pslist", dump_clean)
-        processes_after = self.volatility.run("linux_pslist", dump_detected)
-        added, removed = diff_rows(
-            processes_before, processes_after, key=lambda row: row["pid"]
-        )
-        report.add_section(
-            "Process-list delta across the attacked epoch",
-            "started: %s\nexited:  %s"
-            % (
-                ", ".join("%s(%d)" % (r["name"], r["pid"]) for r in added) or "-",
-                ", ".join("%s(%d)" % (r["name"], r["pid"]) for r in removed) or "-",
-            ),
-        )
+        processes = self._diff(report, "linux_pslist", dump_clean,
+                               dump_detected, key=lambda row: row["pid"])
+        if processes is not None:
+            report.add_section(
+                "Process-list delta across the attacked epoch",
+                "started: %s\nexited:  %s" % tuple(
+                    ", ".join("%s(%d)" % (r["name"], r["pid"])
+                              for r in rows) or "-"
+                    for rows in processes),
+            )
 
         dumps = [dump_clean, dump_detected]
         if dump_at_attack is not None:
@@ -260,42 +266,32 @@ class PostMortem:
         pid = finding.details["pid"]
         report = SecurityReport("CRIMES Security Report - Malware Detection")
 
-        report.add_section(
-            "Malware detected",
-            _format_table(
-                [
-                    {
-                        "Name": finding.details["name"],
-                        "PID": pid,
-                        "Start": finding.details.get("start_time", 0),
-                    }
-                ],
-                ["Name", "PID", "Start"],
-            ),
-        )
+        report.add_section("Malware detected", _format_table(
+            [{"Name": finding.details["name"], "PID": pid,
+              "Start": finding.details.get("start_time", 0)}],
+            ["Name", "PID", "Start"]))
 
-        extracted = self.volatility.run("procdump", dump_detected, pid=pid)
-        report.add_artifact("malware_executable", extracted[0])
-        report.add_section(
-            "Extracted executable",
-            "%s (pid %d): %d bytes extracted for sandbox analysis"
-            % (extracted[0]["name"], pid, extracted[0]["artifact_size"]),
-        )
+        extracted = self._run(report, "procdump", dump_detected, pid=pid)
+        if extracted is not None:
+            executable = extracted[0]
+            report.add_artifact("malware_executable", executable)
+            report.add_section(
+                "Extracted executable",
+                "%s (pid %d): %d bytes extracted for sandbox analysis"
+                % (executable["name"], pid, executable["artifact_size"]))
 
         self._new_sockets(report, "Open Sockets (new since last clean "
                           "checkpoint)", dump_clean, dump_detected)
 
-        handles_before = self.volatility.run("handles", dump_clean)
-        handles_after = self.volatility.run("handles", dump_detected)
-        new_handles, _dropped = diff_rows(
-            handles_before, handles_after,
-            key=lambda row: (row["pid"], row["path"]),
-        )
-        report.add_section(
-            "Open File Handles (new since last clean checkpoint)",
-            "\n".join(row["path"] for row in new_handles) or "(none)",
-        )
-        report.add_artifact("new_handles", new_handles)
+        handles = self._diff(report, "handles", dump_clean, dump_detected,
+                             key=lambda row: (row["pid"], row["path"]))
+        if handles is not None:
+            new_handles, _dropped = handles
+            report.add_section(
+                "Open File Handles (new since last clean checkpoint)",
+                "\n".join(row["path"] for row in new_handles) or "(none)",
+            )
+            report.add_artifact("new_handles", new_handles)
 
         self._hidden_processes(report, "psscan/psxview hidden-process check",
                                dump_detected)
@@ -323,25 +319,27 @@ class PostMortem:
         if dump_detected.os_name != "linux":
             return report
 
-        loaded, unloaded = diff_rows(
-            self.volatility.run("linux_lsmod", dump_clean),
-            self.volatility.run("linux_lsmod", dump_detected),
-            key=lambda row: (row["name"], row["base"]),
-        )
-        report.add_section(
-            "Kernel-module delta across the attacked epoch",
-            "loaded:   %s\nunloaded: %s" % tuple(
-                ", ".join("%s@0x%x" % (row["name"], row["base"])
-                          for row in rows) or "-"
-                for rows in (loaded, unloaded)),
-        )
-        report.add_artifact("loaded_modules", loaded)
+        modules = self._diff(report, "linux_lsmod", dump_clean, dump_detected,
+                             key=lambda row: (row["name"], row["base"]))
+        if modules is not None:
+            report.add_section(
+                "Kernel-module delta across the attacked epoch",
+                "loaded:   %s\nunloaded: %s" % tuple(
+                    ", ".join("%s@0x%x" % (row["name"], row["base"])
+                              for row in rows) or "-"
+                    for rows in modules),
+            )
+            report.add_artifact("loaded_modules", modules[0])
 
-        reference = [row["address"] for row in
-                     self.volatility.run("linux_check_syscall", dump_clean)]
-        changed = [row for row in self.volatility.run(
-            "linux_check_syscall", dump_detected, reference=reference)
-            if row["hijacked"]]
+        clean = self._run(report, "linux_check_syscall", dump_clean)
+        if clean is None:
+            return report
+        reference = [row["address"] for row in clean]
+        detected = self._run(report, "linux_check_syscall", dump_detected,
+                             reference=reference)
+        if detected is None:
+            return report
+        changed = [row for row in detected if row["hijacked"]]
         report.add_section(
             "System-call slots changed during the attacked epoch",
             _format_table(
@@ -349,8 +347,6 @@ class PostMortem:
                   "clean": "0x%x" % reference[row["index"]],
                   "detected": "0x%x" % row["address"]}
                  for row in changed],
-                ["slot", "clean", "detected"],
-            ),
-        )
+                ["slot", "clean", "detected"]))
         report.add_artifact("changed_syscalls", changed)
         return report

@@ -52,15 +52,9 @@ class TimeTravelInvestigator:
         self.history = history
 
     def _dump(self, checkpoint):
-        return MemoryDump(
-            image=checkpoint.memory_image,
-            os_name=self.vm.os_name,
-            symbols={name: self.vm.symbols.lookup(name)
-                     for name in self.vm.symbols.names()},
-            guest_state=checkpoint.guest_state,
-            taken_at=checkpoint.taken_at,
-            label=checkpoint.label,
-        )
+        return MemoryDump.of_guest(self.vm, checkpoint.memory_image,
+                                   checkpoint.guest_state,
+                                   checkpoint.taken_at, checkpoint.label)
 
     def find_first_compromised(self, indicator, bisect=True):
         """Locate the earliest retained checkpoint where ``indicator``

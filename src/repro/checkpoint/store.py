@@ -47,6 +47,9 @@ from repro.errors import StoreError, StoreIOError
 from repro.faults.planes import FaultPlane
 from repro.guest.memory import PAGE_SIZE
 
+#: zlib level of the cold tier (the fastest).
+COMPRESS_LEVEL = 1
+
 
 class _PageEntry:
     """One unique page: refcount + which tier currently holds it.
@@ -78,8 +81,7 @@ class PageStore:
     """
 
     def __init__(self, budget_bytes=None, spill_dir=None, compress=True,
-                 compress_level=1, verify_spilled_dedup=True,
-                 page_size=PAGE_SIZE, registry=None):
+                 verify_spilled_dedup=True, registry=None):
         if budget_bytes is not None and budget_bytes < 0:
             raise StoreError("budget_bytes must be >= 0 (or None)")
         # The store is host-wide shared state: checkpointers mutate it
@@ -88,10 +90,8 @@ class PageStore:
         # lock (reentrant because ingest_frames -> put and
         # materialize -> get nest).
         self._lock = threading.RLock()
-        self.page_size = page_size
         self.budget_bytes = budget_bytes
         self.compress = compress
-        self.compress_level = compress_level
         self.verify_spilled_dedup = verify_spilled_dedup
         self._spill_dir = spill_dir
         if spill_dir is not None:
@@ -170,10 +170,10 @@ class PageStore:
         """
         with self._lock:
             data = bytes(page)
-            if len(data) != self.page_size:
+            if len(data) != PAGE_SIZE:
                 raise StoreError(
                     "page must be exactly %d bytes, got %d"
-                    % (self.page_size, len(data))
+                    % (PAGE_SIZE, len(data))
                 )
             self.puts += 1
             key = sha256(data).digest()
@@ -182,7 +182,7 @@ class PageStore:
                 entry = _PageEntry(data)
                 self._entries[key] = entry
                 self._hot[key] = None
-                self.hot_bytes += self.page_size
+                self.hot_bytes += PAGE_SIZE
                 self._enforce_budget(injector)
             else:
                 self.dedup_hits += 1
@@ -285,7 +285,7 @@ class PageStore:
         the error propagates — a failed stage leaves no refs behind.
         """
         with self._lock:
-            size = self.page_size
+            size = PAGE_SIZE
             keys = []
             try:
                 for pfn in pfns:
@@ -324,7 +324,7 @@ class PageStore:
         if not self.compress:
             return data
         self.compressions += 1
-        return zlib.compress(data, self.compress_level)
+        return zlib.compress(data, COMPRESS_LEVEL)
 
     def _promote(self, key, entry, data):
         """Bring a cold/spilled page back into the hot tier."""
@@ -336,7 +336,7 @@ class PageStore:
             self._remove_spill_file(key, entry)
         entry.raw = data
         self._hot[key] = None
-        self.hot_bytes += self.page_size
+        self.hot_bytes += PAGE_SIZE
 
     def _enforce_budget(self, injector):
         """Demote/spill the LRU tail until resident bytes fit the budget.
@@ -355,7 +355,7 @@ class PageStore:
                 entry.cold = self._encode(entry.raw)
                 entry.raw = None
                 self._cold[key] = None
-                self.hot_bytes -= self.page_size
+                self.hot_bytes -= PAGE_SIZE
                 self.cold_bytes += len(entry.cold)
                 continue
             if self._cold:
@@ -379,7 +379,7 @@ class PageStore:
                 entry.cold = None
             else:
                 del self._hot[key]
-                self.hot_bytes -= self.page_size
+                self.hot_bytes -= PAGE_SIZE
                 entry.raw = None
             entry.disk_len = len(payload)
             self.spilled_bytes += len(payload)
@@ -470,7 +470,7 @@ class PageStore:
         self.frees += 1
         if entry.raw is not None:
             del self._hot[key]
-            self.hot_bytes -= self.page_size
+            self.hot_bytes -= PAGE_SIZE
         elif entry.cold is not None:
             del self._cold[key]
             self.cold_bytes -= len(entry.cold)
@@ -501,12 +501,12 @@ class PageStore:
         with self._lock:
             unique = len(self._entries)
             return {
-                "page_size": self.page_size,
+                "page_size": PAGE_SIZE,
                 "budget_bytes": self.budget_bytes,
                 "unique_pages": unique,
                 "logical_pages": self.logical_pages,
-                "unique_bytes": unique * self.page_size,
-                "logical_bytes": self.logical_pages * self.page_size,
+                "unique_bytes": unique * PAGE_SIZE,
+                "logical_bytes": self.logical_pages * PAGE_SIZE,
                 "dedup_ratio": self.dedup_ratio,
                 "hot_pages": len(self._hot),
                 "cold_pages": len(self._cold),
@@ -555,7 +555,7 @@ class PageStore:
             for owner, pages in sorted(self._owners.items()):
                 out[owner] = {
                     "logical_pages": pages,
-                    "logical_bytes": pages * self.page_size,
+                    "logical_bytes": pages * PAGE_SIZE,
                     "attributed_bytes": (
                         resident * pages / total if total else 0.0
                     ),
@@ -589,7 +589,7 @@ class PageStore:
                         "entry %s is in %d tiers" % (key.hex()[:12], tiers)
                     )
                 if entry.raw is not None:
-                    hot_bytes += self.page_size
+                    hot_bytes += PAGE_SIZE
                     if key not in self._hot:
                         raise StoreError("hot entry missing from hot LRU")
                 elif entry.cold is not None:

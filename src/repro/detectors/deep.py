@@ -18,7 +18,7 @@ weakened guarantee the paper trades for keeping the pause small.
 import re
 
 from repro.detectors.base import Finding, ScanModule, Severity
-from repro.errors import ForensicsError, GuestFault
+from repro.errors import ForensicsError
 from repro.forensics.dumps import MemoryDump
 from repro.forensics.volatility import VolatilityFramework
 
@@ -87,33 +87,25 @@ class HiddenProcessDeepScan(DeepScanModule):
     def scan(self, dump):
         try:
             rows = self.volatility.run(self._plugin_for(dump), dump)
-        except (ForensicsError, GuestFault) as err:
+        except ForensicsError as err:
             # The process structures are guest memory too: a list or slab
             # the sweep cannot parse is tampering, and must not read as a
             # clean checkpoint.
-            self.volatility.take_cost_ms()
             return [Finding(
                 self.name, "corrupt-process-structures", Severity.CRITICAL,
                 "checkpoint scan: process structures unreadable (%s)" % err,
                 {"error": str(err)},
             )]
-        self.volatility.take_cost_ms()  # cost already modeled via cost_ms
-        findings = []
-        for row in rows:
-            if row.get("suspicious"):
-                findings.append(
-                    Finding(
-                        self.name,
-                        "hidden-process",
-                        Severity.CRITICAL,
-                        "checkpoint scan: process %r (pid %d) hidden from "
-                        "the canonical process list"
-                        % (row["name"], row["pid"]),
-                        {"pid": row["pid"], "name": row["name"],
-                         "start_time": row.get("start_time", 0)},
-                    )
-                )
-        return findings
+        finally:
+            self.volatility.take_cost_ms()  # cost already modeled via cost_ms
+        return [
+            Finding(self.name, "hidden-process", Severity.CRITICAL,
+                    "checkpoint scan: process %r (pid %d) hidden from the "
+                    "canonical process list" % (row["name"], row["pid"]),
+                    {"pid": row["pid"], "name": row["name"],
+                     "start_time": row.get("start_time", 0)})
+            for row in rows if row.get("suspicious")
+        ]
 
 
 #: Byte signatures a full-memory sweep looks for (virus-scanner style).

@@ -5,23 +5,24 @@ bytes, the guest's System.map symbols, the OS name, and the page-table
 contents needed to translate user-space addresses (a real tool would walk
 the page tables *inside* the image; we persist the same mapping data
 explicitly).
+
+A dump is the offline guest address space of :mod:`repro.vmi.space`:
+it follows the rule live introspection follows, reading from the image,
+free of charge (Volatility prices whole plugin runs), and refusing with
+:class:`ForensicsError`, so every plugin failure on a dump is one.
 """
 
-from repro.errors import ForensicsError, PageFault
+from repro.errors import ForensicsError
 from repro.guest.memory import PAGE_SIZE
-from repro.guest.pagetable import KERNEL_BASE, kernel_pa
+from repro.guest.pagetable import PageTable
+from repro.vmi.space import GuestAddressSpace
 
 
-class MemoryDump:
-    """One captured RAM image plus the metadata needed to interpret it.
+class MemoryDump(GuestAddressSpace):
+    """One captured RAM image plus the metadata needed to interpret it:
+    an address space for the walkers of :mod:`repro.vmi.walk`."""
 
-    A dump is an address space for the walkers of :mod:`repro.vmi.walk`,
-    like a live VMI instance, but reads are free (Volatility prices a
-    whole plugin run instead) and a walker's checks raise
-    :class:`ForensicsError`.
-    """
-
-    #: The error a walker raises for malformed guest memory.
+    #: The error a refusal, or a walker's check, raises.
     error = ForensicsError
 
     def __init__(self, image, os_name, symbols, guest_state, taken_at=0.0,
@@ -36,34 +37,32 @@ class MemoryDump:
         self.guest_state = guest_state
         self.taken_at = taken_at
         self.label = label
+        self.frame_count = len(self.image) // PAGE_SIZE
+        #: pid -> PageTable, built from the stored state on first use.
+        self._page_tables = {}
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def of_guest(cls, vm, image, guest_state, taken_at, label):
+        """A dump of ``vm``'s OS and symbols over a captured image."""
+        symbols = {name: vm.symbols.lookup(name)
+                   for name in vm.symbols.names()}
+        return cls(image, vm.os_name, symbols, guest_state, taken_at, label)
+
+    @classmethod
     def from_vm(cls, vm, label="live"):
         """Capture the VM's current state (the 'bad' end-of-epoch dump)."""
-        return cls(
-            image=vm.memory.snapshot_bytes(),
-            os_name=vm.os_name,
-            symbols={name: vm.symbols.lookup(name) for name in vm.symbols.names()},
-            guest_state=vm.state_dict(),
-            taken_at=vm.clock.now,
-            label=label,
-        )
+        return cls.of_guest(vm, vm.memory.snapshot_bytes(), vm.state_dict(),
+                            vm.clock.now, label)
 
     @classmethod
     def from_snapshot(cls, vm, snapshot, label="checkpoint"):
         """Wrap a :class:`GuestSnapshot` (e.g. the clean backup) as a dump."""
-        return cls(
-            image=snapshot.memory_image,
-            os_name=vm.os_name,
-            symbols={name: vm.symbols.lookup(name) for name in vm.symbols.names()},
-            guest_state=snapshot.state,
-            taken_at=snapshot.taken_at,
-            label=label,
-        )
+        return cls.of_guest(vm, snapshot.memory_image, snapshot.state,
+                            snapshot.taken_at, label)
 
-    # -- reading ----------------------------------------------------------
+    # -- the offline address space (repro.vmi.space) ----------------------
 
     @property
     def size(self):
@@ -77,42 +76,33 @@ class MemoryDump:
             )
         return self.image[paddr : paddr + length]
 
+    def _read_frames(self, frames, offset, length):
+        pages = b"".join(self.read_pa(pfn * PAGE_SIZE, PAGE_SIZE)
+                         for pfn in frames.tolist())
+        return pages[offset:offset + length]
+
+    def _charge_read(self, length):
+        """Free: Volatility prices whole plugin runs, not reads."""
+
+    def _processes(self):
+        return self.guest_state.get(self.os_name, {}).get("processes", {})
+
+    def _page_table_of(self, pid):
+        """The page table of ``pid`` as the dump stored it, or None."""
+        page_table = self._page_tables.get(pid)
+        if page_table is None:
+            process = self._processes().get(pid)
+            if process is None:
+                return None
+            page_table = self._page_tables[pid] = PageTable()
+            page_table.load_state_dict(process["page_table"])
+        return page_table
+
     def lookup_symbol(self, name):
         try:
             return self.symbols[name]
         except KeyError:
             raise ForensicsError("symbol %r not in dump" % name) from None
-
-    def _user_page_table(self, pid):
-        os_state = self.guest_state.get(self.os_name, {})
-        processes = os_state.get("processes", {})
-        process = processes.get(pid)
-        if process is None:
-            raise ForensicsError("dump has no page table for pid %d" % pid)
-        return process["page_table"]["entries"]
-
-    def translate(self, vaddr, pid=0):
-        """VA -> PA inside the dump (kernel direct map or user page table)."""
-        if pid == 0 or vaddr >= KERNEL_BASE:
-            return kernel_pa(vaddr)
-        entries = self._user_page_table(pid)
-        vpn, offset = divmod(vaddr, PAGE_SIZE)
-        entry = entries.get(vpn)
-        if entry is None:
-            raise PageFault(vaddr)
-        return entry[0] * PAGE_SIZE + offset
-
-    def read_va(self, vaddr, length, pid=0):
-        """Read a virtual range, stitching across non-contiguous frames."""
-        parts = []
-        offset = 0
-        while offset < length:
-            paddr = self.translate(vaddr + offset, pid)
-            room = PAGE_SIZE - (paddr % PAGE_SIZE)
-            chunk = min(room, length - offset)
-            parts.append(self.read_pa(paddr, chunk))
-            offset += chunk
-        return b"".join(parts)
 
     def pool_regions(self):
         """A dump's pool sweep covers its whole image, uncopied."""
@@ -127,15 +117,11 @@ class MemoryDump:
 
     def process_pids(self):
         """Pids whose user address spaces this dump can translate."""
-        os_state = self.guest_state.get(self.os_name, {})
-        return sorted(os_state.get("processes", {}))
+        return sorted(self._processes())
 
     def __repr__(self):
         return "MemoryDump(label=%r, %d MiB, t=%.2fms)" % (
-            self.label,
-            len(self.image) // (1024 * 1024),
-            self.taken_at,
-        )
+            self.label, len(self.image) // (1024 * 1024), self.taken_at)
 
 
 def diff_rows(before, after, key):

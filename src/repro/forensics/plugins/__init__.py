@@ -14,7 +14,15 @@ Every walk over kernel memory is a generator of :mod:`repro.vmi.walk`;
 the plugins turn walked records into rows.
 """
 
+from repro.errors import ForensicsError
 from repro.guest.net import TCP_STATE_NAMES, bytes_to_ip
+
+
+def require_os(dump, os_name):
+    """Refuse a dump of another OS than the plugin reads."""
+    if dump.os_name != os_name:
+        raise ForensicsError("plugin requires a %s memory dump"
+                             % os_name.title())
 
 
 def socket_row(record, owner_pid):

@@ -1,17 +1,11 @@
 """Linux forensics plugins (the §5.5 buffer-overflow case-study battery)."""
 
 from repro.errors import ForensicsError
-from repro.forensics.plugins import socket_row
+from repro.forensics.plugins import require_os, socket_row
 from repro.forensics.volatility import plugin
 from repro.guest.layout import cstring
 from repro.guest.linux import FLAG_SLAB_IN_USE, SYSCALL_COUNT
-from repro.guest.memory import PAGE_SIZE
 from repro.vmi import walk
-
-
-def _require_linux(dump):
-    if dump.os_name != "linux":
-        raise ForensicsError("plugin requires a Linux memory dump")
 
 
 def _task_row(task_va, record):
@@ -29,21 +23,21 @@ def _task_row(task_va, record):
 @plugin("linux_pslist")
 def linux_pslist(dump):
     """Walk init_task's circular task list."""
-    _require_linux(dump)
+    require_os(dump, "linux")
     return [_task_row(va, record) for va, record in walk.task_list(dump)]
 
 
 @plugin("linux_psscan", pool_scan=True)
 def linux_psscan(dump):
     """Sweep the task_struct slab for TASK magics (finds ghosts)."""
-    _require_linux(dump)
+    require_os(dump, "linux")
     return [_task_row(va, record) for va, record in walk.task_slab(dump)]
 
 
 @plugin("linux_pidhashtable")
 def linux_pidhashtable(dump):
     """Walk every pid-hash chain (second live view)."""
-    _require_linux(dump)
+    require_os(dump, "linux")
     return [_task_row(va, record) for va, record in walk.pid_hash(dump)]
 
 
@@ -76,7 +70,7 @@ def linux_psxview(dump):
 @plugin("linux_lsmod")
 def linux_lsmod(dump):
     """Walk the kernel module list."""
-    _require_linux(dump)
+    require_os(dump, "linux")
     return [{"name": cstring(record["name"]), "base": record["base"],
              "size": record["size"]}
             for _va, record in walk.module_list(dump)]
@@ -85,7 +79,7 @@ def linux_lsmod(dump):
 @plugin("linux_check_syscall")
 def linux_check_syscall(dump, reference=None):
     """Report syscall-table entries (flagging mismatches vs a reference)."""
-    _require_linux(dump)
+    require_os(dump, "linux")
     rows = []
     for index, address in enumerate(
             walk.pointer_table(dump, "sys_call_table", SYSCALL_COUNT)):
@@ -99,7 +93,7 @@ def linux_check_syscall(dump, reference=None):
 @plugin("linux_proc_maps")
 def linux_proc_maps(dump, pid):
     """List a process's memory regions (VMAs) from its mm_struct."""
-    _require_linux(dump)
+    require_os(dump, "linux")
     # The whole list is walked first: a corrupt list fails the plugin
     # even when the pid comes before the corruption.
     for _va, record in list(walk.task_list(dump)):
@@ -116,7 +110,7 @@ def linux_proc_maps(dump, pid):
 @plugin("linux_lsof")
 def linux_lsof(dump, pid=None):
     """Walk the kernel's open-file chain (optionally filtered by pid)."""
-    _require_linux(dump)
+    require_os(dump, "linux")
     return [{"pid": record["pid"], "path": cstring(record["path"]),
              "file_va": va}
             for va, record in walk.file_list(dump)
@@ -126,7 +120,7 @@ def linux_lsof(dump, pid=None):
 @plugin("linux_netstat")
 def linux_netstat(dump):
     """Walk the kernel's TCP socket list."""
-    _require_linux(dump)
+    require_os(dump, "linux")
     return [socket_row(record, record["pid"])
             for _va, record in walk.socket_list(dump)]
 
@@ -147,7 +141,7 @@ def linux_malfind(dump, signatures=None):
     executable mappings; here the per-region byte sweep plays that role
     over the simulated address spaces.
     """
-    _require_linux(dump)
+    require_os(dump, "linux")
     chosen = tuple(signatures or MALFIND_SIGNATURES)
     rows = []
     for row in linux_pslist(dump):
@@ -180,28 +174,16 @@ def linux_malfind(dump, signatures=None):
 def linux_dump_map(dump, pid, region=None):
     """Extract the bytes of a process's memory regions (§5.5's 5-second
     per-process dump that analysts inspect for the attack's root cause)."""
-    _require_linux(dump)
+    require_os(dump, "linux")
     rows = []
     for vma in linux_proc_maps(dump, pid):
         name = vma["name"].strip("[]")
         if region is not None and name != region:
             continue
         length = vma["end"] - vma["start"]
-        data = bytearray()
-        cursor = vma["start"]
-        while cursor < vma["end"]:
-            chunk = min(PAGE_SIZE - cursor % PAGE_SIZE, vma["end"] - cursor)
-            data.extend(dump.read_va(cursor, chunk, pid=pid))
-            cursor += chunk
-        rows.append(
-            {
-                "pid": pid,
-                "region": name,
-                "start": vma["start"],
-                "length": length,
-                "data": bytes(data),
-            }
-        )
+        rows.append({"pid": pid, "region": name, "start": vma["start"],
+                     "length": length,
+                     "data": dump.read_va(vma["start"], length, pid=pid)})
     if region is not None and not rows:
         raise ForensicsError(
             "linux_dump_map: pid %d has no region %r" % (pid, region)

@@ -1,7 +1,7 @@
 """Windows forensics plugins (the §5.6 malware case-study battery)."""
 
 from repro.errors import ForensicsError
-from repro.forensics.plugins import socket_row
+from repro.forensics.plugins import require_os, socket_row
 from repro.forensics.volatility import plugin
 from repro.guest.layout import cstring
 from repro.guest.windows import (
@@ -15,11 +15,6 @@ from repro.guest.windows import (
     TCP_ENDPOINT,
 )
 from repro.vmi import walk
-
-
-def _require_windows(dump):
-    if dump.os_name != "windows":
-        raise ForensicsError("plugin requires a Windows memory dump")
 
 
 def _eprocess_row(eprocess_va, record):
@@ -37,7 +32,7 @@ def _eprocess_row(eprocess_va, record):
 @plugin("pslist")
 def pslist(dump):
     """Walk PsActiveProcessHead — the canonical (linkable) process view."""
-    _require_windows(dump)
+    require_os(dump, "windows")
     return [_eprocess_row(va, record)
             for va, record in walk.eprocess_list(dump)]
 
@@ -45,7 +40,7 @@ def pslist(dump):
 @plugin("psscan", pool_scan=True)
 def psscan(dump):
     """Pool-scan for 'Proc' tags — finds unlinked and exited processes."""
-    _require_windows(dump)
+    require_os(dump, "windows")
     return [_eprocess_row(va, record)
             for va, record in walk.pool_sweep(dump, POOL_TAG_PROCESS, EPROCESS)
             if record["pid"] < walk.MAX_PID and record["ppid"] < walk.MAX_PID]
@@ -73,7 +68,7 @@ def psxview(dump):
 @plugin("netscan", pool_scan=True)
 def netscan(dump):
     """Pool-scan for TCP endpoints ('TcpE' tags)."""
-    _require_windows(dump)
+    require_os(dump, "windows")
     return [socket_row(record, record["owner_pid"])
             for _va, record in walk.pool_sweep(dump, POOL_TAG_TCP,
                                                TCP_ENDPOINT)
@@ -83,7 +78,7 @@ def netscan(dump):
 @plugin("handles")
 def handles(dump, pid=None):
     """Open file handles, per process (optionally filtered to one pid)."""
-    _require_windows(dump)
+    require_os(dump, "windows")
     rows = []
     for process in pslist(dump):
         if pid is not None and process["pid"] != pid:
@@ -105,7 +100,7 @@ def handles(dump, pid=None):
 def filescan(dump):
     """Pool-scan for File objects — finds files whose handles were
     closed or whose owning process was unlinked (complements handles)."""
-    _require_windows(dump)
+    require_os(dump, "windows")
     rows = []
     for va, record in walk.pool_sweep(dump, POOL_TAG_FILE, FILE_OBJECT):
         path = cstring(record["name"])
@@ -147,7 +142,7 @@ def printkey(dump, prefix=None):
     With ``prefix``, only keys under that registry path are returned —
     the §5.6 analyst's view of what the malware could have harvested.
     """
-    _require_windows(dump)
+    require_os(dump, "windows")
     rows = []
     for _va, record in walk.pool_sweep(dump, POOL_TAG_REGISTRY,
                                        REGISTRY_KEY):

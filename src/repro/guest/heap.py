@@ -14,6 +14,7 @@ Detector looks for.
 """
 
 import struct
+import weakref
 
 import numpy as _np
 
@@ -59,7 +60,8 @@ class CanaryHeap:
 
     def __init__(self, process, base_va, size_bytes, table_va, table_capacity,
                  canary_value, canaries_enabled=True):
-        self.process = process
+        # The process holds its heap: the heap's reference back is weak.
+        self._process = weakref.ref(process)
         self.base_va = base_va
         self.size = size_bytes
         self.table_va = table_va
@@ -81,7 +83,7 @@ class CanaryHeap:
     # -- guest-memory table maintenance ----------------------------------
 
     def _write_header(self):
-        self.process.write(
+        self._process().write(
             self.table_va,
             CANARY_TABLE_HEADER.encode(
                 {
@@ -103,7 +105,7 @@ class CanaryHeap:
         offset = index * CANARY_ENTRY.size
         # Overwrites slot ``index``, or appends when it is the next slot.
         self._table[offset : offset + CANARY_ENTRY.size] = entry
-        self.process.write(self._entry_va(index), entry)
+        self._process().write(self._entry_va(index), entry)
 
     def _entry(self, index):
         """``(addr, size, kind)`` of table slot ``index``, from the mirror.
@@ -116,7 +118,7 @@ class CanaryHeap:
         return addr, size, kind
 
     def _set_count(self, count):
-        self.process.write(
+        self._process().write(
             self.table_va + CANARY_TABLE_HEADER.offset_of("count"),
             struct.pack("<I", count),
         )
@@ -142,7 +144,7 @@ class CanaryHeap:
             )
         index = len(self._table_index)
         if kind == KIND_CANARY:
-            self.process.write(
+            self._process().write(
                 addr + size, struct.pack("<Q", self.canary_value)
             )
         self._write_entry(index, addr, size, kind=kind)
@@ -152,7 +154,7 @@ class CanaryHeap:
     def unregister_canary(self, addr, size, validate=True):
         """Remove a tripwire from the table, optionally validating it."""
         stored = struct.unpack(
-            "<Q", self.process.read(addr + size, CANARY_SIZE)
+            "<Q", self._process().read(addr + size, CANARY_SIZE)
         )[0]
         index = self._table_index.pop(addr)
         # Swap-with-last keeps the guest-memory table densely packed.
@@ -210,7 +212,7 @@ class CanaryHeap:
             raise GuestFault(
                 "heap corruption detected on free(0x%x)" % addr
             ) from None
-        self.process.write(addr, bytes([FREED_FILL_BYTE]) * size)
+        self._process().write(addr, bytes([FREED_FILL_BYTE]) * size)
         self.register_canary(addr, size, kind=KIND_FREED)
 
     def _live_size(self, addr):
@@ -299,6 +301,6 @@ class CanaryHeap:
         checkpoint; guest memory already holds the table bytes.
         """
         heap = cls.__new__(cls)
-        heap.process = process
+        heap._process = weakref.ref(process)
         heap.load_state_dict(state)
         return heap

@@ -404,7 +404,6 @@ class LinuxGuest(GuestVM):
             )
             if canaries_enabled:
                 process.stack_guard = StackGuard(
-                    process,
                     stack_base=STACK_TOP - stack_pages * PAGE_SIZE,
                     stack_top=STACK_TOP,
                     registry=process.heap,
@@ -673,7 +672,7 @@ class LinuxGuest(GuestVM):
             if "stack_guard" in process_state and process.stack_guard is None:
                 base, pages = process_state["regions"]["stack"]
                 process.stack_guard = StackGuard(
-                    process, base, base + pages * PAGE_SIZE, process.heap
+                    base, base + pages * PAGE_SIZE, process.heap
                 )
             process.load_state_dict(process_state)
             surviving[pid] = process

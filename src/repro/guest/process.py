@@ -7,6 +7,7 @@ is managed by :class:`~repro.guest.heap.CanaryHeap`.
 """
 
 import struct
+import weakref
 
 from repro.guest.memory import PAGE_SIZE
 from repro.guest.pagetable import PageTable
@@ -22,7 +23,11 @@ class UserProcess:
     """A guest user process: address space + heap + simple I/O helpers."""
 
     def __init__(self, vm, pid, name, uid=1000):
-        self.vm = vm
+        #: The guest's RAM, which every access goes through.
+        self.memory = vm.memory
+        # The guest holds its processes, so a strong reference back would
+        # make every guest with a process a cycle only the collector frees.
+        self._vm = weakref.ref(vm)
         self.pid = pid
         self.name = name
         self.uid = uid
@@ -31,6 +36,11 @@ class UserProcess:
         self.heap = None
         self.stack_guard = None
         self.alive = True
+
+    @property
+    def vm(self):
+        """The guest this process runs in (None once it is freed)."""
+        return self._vm()
 
     # -- address-space construction ---------------------------------------
 
@@ -61,14 +71,14 @@ class UserProcess:
         remaining = len(data)
         if 0 < remaining <= PAGE_SIZE - vaddr % PAGE_SIZE:
             # Within one page: one translation, one store, no slicing.
-            self.vm.memory.write(self.page_table.translate(vaddr), data)
+            self.memory.write(self.page_table.translate(vaddr), data)
             return
         offset = 0
         while remaining > 0:
             paddr = self.page_table.translate(vaddr + offset)
             room = PAGE_SIZE - (paddr % PAGE_SIZE)
             chunk = min(room, remaining)
-            self.vm.memory.write(paddr, data[offset : offset + chunk])
+            self.memory.write(paddr, data[offset : offset + chunk])
             offset += chunk
             remaining -= chunk
 
@@ -80,7 +90,7 @@ class UserProcess:
             paddr = self.page_table.translate(vaddr + offset)
             room = PAGE_SIZE - (paddr % PAGE_SIZE)
             chunk = min(room, length - offset)
-            parts.append(self.vm.memory.read(paddr, chunk))
+            parts.append(self.memory.read(paddr, chunk))
             offset += chunk
         return b"".join(parts)
 

@@ -23,8 +23,7 @@ _FRAME_ALIGNMENT = 16
 class StackGuard:
     """Descending-stack frame manager with per-frame canaries."""
 
-    def __init__(self, process, stack_base, stack_top, registry):
-        self.process = process
+    def __init__(self, stack_base, stack_top, registry):
         self.stack_base = stack_base    # lowest valid address
         self.stack_top = stack_top      # initial stack pointer
         self.registry = registry        # the process's CanaryHeap table

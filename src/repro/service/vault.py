@@ -429,12 +429,7 @@ class CaseVault:
                 "dump for %s fails re-verification: stored sha256 %s, "
                 "recorded %s" % (case_id, digest, meta["sha256"])
             )
-        data = pickle.loads(blob)
-        return MemoryDump(
-            image=data["image"], os_name=data["os_name"],
-            symbols=data["symbols"], guest_state=data["guest_state"],
-            taken_at=data["taken_at"], label=data["label"],
-        )
+        return MemoryDump(**pickle.loads(blob))
 
     # -- enrichment --------------------------------------------------------
 

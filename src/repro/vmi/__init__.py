@@ -8,6 +8,8 @@ instance's cost meter, calibrated to the LibVMI measurements of Table 3.
 The walks themselves live in :mod:`repro.vmi.walk`, one generator per
 guest kernel structure, shared with the offline forensics plugins of
 :mod:`repro.forensics`: same walkers, same layouts, never shared state.
+Beneath them, :mod:`repro.vmi.space` is the one rule by which both sides
+translate, read and refuse guest addresses.
 """
 
 from repro.vmi.costmodel import VmiCostModel

@@ -9,21 +9,22 @@ directly instead of walking CR3 — the mapping consulted is identical.
 
 Every list, table, slab and pool walk is a generator in
 :mod:`repro.vmi.walk`, shared with the offline forensics plugins; this
-instance is the live address space those generators read through. The
-scan methods here turn walked nodes into ``*Info`` objects and charge
-the per-node constants between nodes.
+instance is the live address space those generators read through, the
+one of :mod:`repro.vmi.space` that reads RAM, charges each read and
+refuses with :class:`IntrospectionError`. The scan methods here turn
+walked nodes into ``*Info`` objects and charge the per-node constants
+between nodes.
 """
 
 import struct
 
 import numpy as _np
 
-from repro.errors import IntrospectionError, PageFault
+from repro.errors import IntrospectionError
 from repro.faults.planes import FaultPlane
 from repro.guest.layout import cstring
 from repro.guest.memory import PAGE_SIZE
 from repro.guest.linux import FLAG_KERNEL_THREAD, SYSCALL_COUNT
-from repro.guest.pagetable import KERNEL_BASE, kernel_pa
 from repro.guest.windows import (
     EPROCESS,
     POOL_TAG_PROCESS,
@@ -37,12 +38,7 @@ from repro.sim.rng import SeededStream
 from repro.vmi import walk
 from repro.vmi.costmodel import VmiCostModel
 from repro.vmi.osprofile import profile_for
-
-#: First page of the kernel direct map.
-_KERNEL_VPN = KERNEL_BASE // PAGE_SIZE
-
-#: The end of the 64-bit address space: no VA at or above it translates.
-_VA_LIMIT = 1 << 64
+from repro.vmi.space import GuestAddressSpace
 
 
 class ProcessInfo:
@@ -142,8 +138,8 @@ class FileInfo:
         return "FileInfo(pid=%d, path=%r)" % (self.owner_pid, self.path)
 
 
-class VMIInstance:
-    """LibVMI-style handle onto one domain."""
+class VMIInstance(GuestAddressSpace):
+    """LibVMI-style handle onto one domain: the live guest address space."""
 
     def __init__(self, domain, cost_model=None, seed=0, observer=None):
         self.domain = domain
@@ -158,6 +154,8 @@ class VMIInstance:
         self._flight = observer.flight
         self.init_cost_ms = 0.0
         self.preprocess_cost_ms = 0.0
+        #: Frames of guest-physical memory.
+        self.frame_count = self.vm.memory.frame_count
         self._initialize()
 
     def attach_injector(self, injector):
@@ -228,107 +226,13 @@ class VMIInstance:
         self._symbols = self.vm.symbols
         self.preprocess_cost_ms = self._charge_ms(self.costs.PREPROCESS_MS)
 
-    # -- address translation and raw reads --------------------------------------
+    # -- the live address space (repro.vmi.space) ------------------------------
+
+    #: The error a refusal, or a walker's check, raises.
+    error = IntrospectionError
 
     def lookup_symbol(self, name):
         return self._symbols.lookup(name)
-
-    def translate(self, vaddr, pid=0):
-        """VA -> PA. ``pid=0`` means kernel address space.
-
-        ``pid=0`` or an address at or above ``KERNEL_BASE`` goes through
-        the kernel direct map; anything else through ``pid``'s page
-        table. An address with no translation — at or past 2^64 (a guest
-        ``addr + size`` that overflowed), below the direct map in kernel
-        space, unmapped, or of an unknown pid — raises
-        :class:`IntrospectionError` (LibVMI's ``VMI_FAILURE``): such
-        addresses come from guest memory, so the audit must see a failed
-        introspection, not a guest fault.
-        """
-        if vaddr >= _VA_LIMIT:
-            raise IntrospectionError(
-                "address 0x%x is past the 64-bit address space" % vaddr)
-        try:
-            if pid == 0 or vaddr >= KERNEL_BASE:
-                return kernel_pa(vaddr)
-            page_table = self._page_table_of(pid)
-            if page_table is None:
-                raise IntrospectionError(
-                    "cannot translate user address for unknown pid %d" % pid
-                )
-            return page_table.translate(vaddr)
-        except PageFault as err:
-            raise IntrospectionError(str(err)) from err
-
-    def translate_pages(self, vpns, pid=0):
-        """Frame number of each page of ``vpns`` under :meth:`translate`.
-
-        The bulk form of ``translate(vpn * PAGE_SIZE, pid) // PAGE_SIZE``
-        over an integer array, with its address rules; -1 marks a page
-        that ``translate`` would refuse. Uncharged, like ``translate``.
-        """
-        vpns = _np.asarray(vpns, dtype=_np.int64)
-        kernel = vpns >= _KERNEL_VPN
-        page_table = None if pid == 0 else self._page_table_of(pid)
-        user = _np.full(len(vpns), -1, dtype=_np.int64) \
-            if page_table is None else page_table.frames_of(vpns)
-        return _np.where(kernel, vpns - _KERNEL_VPN, user)
-
-    def translate_ranges(self, first, last, pid=0):
-        """Where the pages of each range ``[first[i], last[i]]`` lie:
-        the rule every read of guest-virtual bytes follows, in bulk over
-        int64 VPN arrays with ``last >= first``. Uncharged, like
-        :meth:`translate`.
-
-        Returns ``(frames, flat, lo, hi)``:
-
-        * ``frames`` — the frame of page ``first``
-          (:meth:`translate_pages`, -1 where it is refused);
-        * ``flat`` — every page translates, onto adjacent frames that all
-          lie in RAM, so the range is one slice of RAM from ``frames``;
-        * ``lo``, ``hi`` — the frames the range's pages map to, as the
-          slots ``[lo, hi)`` of :meth:`slot_frames`: for a kernel range
-          its direct-map frames in RAM, for a user range its mapped pages
-          below the direct map (no process maps pages up to it).
-        """
-        first = _np.asarray(first, dtype=_np.int64)
-        last = _np.asarray(last, dtype=_np.int64)
-        frame_count = self.vm.memory.frame_count
-        frames = self.translate_pages(first, pid)
-        kernel = first >= _KERNEL_VPN
-        page_table = None if pid == 0 else self._page_table_of(pid)
-        if page_table is None:
-            below = above = _np.zeros(len(first), dtype=_np.int64)
-            contiguous = _np.zeros(len(first), dtype=bool)
-        else:
-            # User pages lie below the direct map; kernel rows, which the
-            # direct map answers below, look up a placeholder range.
-            top = _np.minimum(last, _KERNEL_VPN - 1)
-            below, above, contiguous = page_table.ranges(
-                _np.minimum(first, top), top)
-            contiguous &= last == top
-        flat = _np.where(kernel, last - _KERNEL_VPN < frame_count,
-                         contiguous & (frames + (last - first) < frame_count))
-        lo = _np.where(kernel, _np.minimum(first - _KERNEL_VPN, frame_count),
-                       frame_count + below)
-        hi = _np.where(kernel, _np.minimum(last - _KERNEL_VPN + 1, frame_count),
-                       frame_count + above)
-        return frames, flat, lo, hi
-
-    def slot_frames(self, pid=0):
-        """The frame behind each slot of :meth:`translate_ranges`' bounds.
-
-        Slots ``[0, frame_count)`` are the frames of RAM themselves, as
-        the direct map reaches them; slot ``frame_count + r`` is the
-        frame of ``pid``'s mapped user page of rank ``r`` (in VPN order),
-        which may lie past RAM. So a range's frames are one run of slots
-        even where its pages sit on frames that are not adjacent.
-        """
-        page_table = None if pid == 0 else self._page_table_of(pid)
-        user = _np.empty(0, dtype=_np.int64) if page_table is None \
-            else page_table.mapped_frames()
-        return _np.concatenate((_np.arange(self.vm.memory.frame_count),
-                                user))
 
     def mapping_token(self, pid):
         """An opaque token for how ``pid``'s user pages map now.
@@ -336,9 +240,10 @@ class VMIInstance:
         Equal tokens mean the same page table at the same generation, so
         every user translation of ``pid`` is unchanged between them: a
         caller that keeps what it derived from :meth:`translate_ranges`
-        compares tokens to know it is still current. A respawned process, or one a restore resurrects, has a
-        new page table and so a new token. None for the kernel address
-        space and for an unknown pid.
+        compares tokens to know it is still current. A respawned
+        process, or one a restore resurrects, has a new page table and
+        so a new token. None for the kernel address space and for an
+        unknown pid.
         """
         page_table = None if pid == 0 else self._page_table_of(pid)
         return None if page_table is None \
@@ -365,44 +270,12 @@ class VMIInstance:
         self._charge_read(length)
         return self.vm.memory.read(paddr, length)
 
-    def read_va(self, vaddr, length, pid=0):
-        """Read ``length`` bytes at ``vaddr``, each page through its own
-        translation.
+    def _read_frames(self, frames, offset, length):
+        return self.vm.memory.read_frames(frames, offset, length)
 
-        A process's consecutive pages need not sit on adjacent frames
-        (frames freed by an exited process are handed out again in
-        reverse), so a user read that crosses a page boundary follows
-        :meth:`translate_ranges`. Every page is translated first, with
-        :meth:`translate`'s rules, so an untranslatable page raises
-        :class:`IntrospectionError` before anything is charged. The read
-        is then one logical read: one charge and one fault probe, as one
-        :meth:`read_pa` of ``length`` bytes — which it is when the range
-        is flat.
-        """
-        paddr = self.translate(vaddr, pid)
-        offset = paddr % PAGE_SIZE
-        if offset + length <= PAGE_SIZE:
-            return self.read_pa(paddr, length)
-        if vaddr + length > _VA_LIMIT:
-            raise IntrospectionError(
-                "read of %d bytes at 0x%x runs past the 64-bit address space"
-                % (length, vaddr))
-        if pid == 0 or vaddr >= KERNEL_BASE:
-            # The direct map is linear: every page translates in line.
-            return self.read_pa(paddr, length)
-        first = vaddr // PAGE_SIZE
-        last = (vaddr + length - 1) // PAGE_SIZE
-        _frames, flat, lo, hi = (int(column[0]) for column in
-                                 self.translate_ranges([first], [last], pid))
-        if flat:
-            return self.read_pa(paddr, length)
-        if hi - lo != last - first + 1:
-            raise IntrospectionError(
-                "user range [0x%x, +%d) of pid %d is not mapped throughout"
-                % (vaddr, length, pid))
-        self._charge_read(length)
-        return self.vm.memory.read_frames(self.slot_frames(pid)[lo:hi],
-                                          offset, length)
+    # The read rule, bound here too: a ``read_*`` of this class is a
+    # live read (``benchmarks/crimes_bench/layers.py`` times each one).
+    read_va = GuestAddressSpace.read_va
 
     def read_struct(self, struct_name, vaddr, pid=0):
         layout = self.profile.struct(struct_name)
@@ -412,9 +285,6 @@ class VMIInstance:
         return struct.unpack("<Q", self.read_va(vaddr, 8, pid))[0]
 
     # -- walks (repro.vmi.walk over this instance) ----------------------------
-
-    #: The error a walker raises for malformed guest memory.
-    error = IntrospectionError
 
     @property
     def size(self):
@@ -457,12 +327,10 @@ class VMIInstance:
         """Walk the OS's canonical process list (LibVMI process-list)."""
         self._charge_ms(self.costs.SCAN_BASE_MS)
         if self.profile.os_name == "linux":
-            return self._linux_task_list()
+            return self._processes(walk.task_list(self),
+                                   ProcessInfo.from_task)
         return self._processes(walk.eprocess_list(self),
                                ProcessInfo.from_eprocess)
-
-    def _linux_task_list(self):
-        return self._processes(walk.task_list(self), ProcessInfo.from_task)
 
     def list_processes_pid_hash(self):
         """Second Linux process view: walk every pid-hash chain."""

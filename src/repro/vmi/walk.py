@@ -1,6 +1,7 @@
 """Walkers over guest kernel structures, shared by live VMI and forensics.
 
-One generator per structure, over an *address space*: the live
+One generator per structure, over an *address space*
+(:mod:`repro.vmi.space`): the live
 :class:`~repro.vmi.libvmi.VMIInstance` or an offline
 :class:`~repro.forensics.dumps.MemoryDump`. A walker reads only through
 the space's ``read_va``, ``read_pa``, ``translate`` and

@@ -20,7 +20,8 @@ from repro.detectors import (
     SyscallTableModule,
 )
 from repro.guest.heap import CANARY_TABLE_HEADER
-from repro.guest.linux import LinuxGuest
+from repro.guest.linux import TASK_STRUCT, LinuxGuest
+from repro.guest.pagetable import kernel_pa
 from repro.guest.process import CANARY_TABLE_BASE
 from repro.guest.windows import WindowsGuest
 from repro.obs.incident import validate_incident_bundle
@@ -58,6 +59,34 @@ class CanaryTableWipe(GuestProgram):
     def load_state_dict(self, state):
         self._epoch = state["epoch"]
         self._pid = state["pid"]
+
+
+class HostileTaskList(GuestProgram):
+    """Hijacks a syscall slot, then points init_task's task link below
+    the kernel direct map, so no process list can be walked."""
+
+    name = "hostile-task-list"
+
+    def __init__(self, trigger_epoch=3):
+        super().__init__()
+        self.trigger_epoch = trigger_epoch
+        self._epoch = 0
+
+    def step(self, start_ms, interval_ms):
+        self._epoch += 1
+        if self._epoch == self.trigger_epoch:
+            self.vm.hijack_syscall(5, 0xFFFFFFFFA0100000)
+            TASK_STRUCT.write_field(
+                self.vm.memory,
+                kernel_pa(self.vm.symbols.lookup("init_task")),
+                "tasks_next", 0x4141)
+        return {"synthetic_dirty": 0}
+
+    def state_dict(self):
+        return {"epoch": self._epoch}
+
+    def load_state_dict(self, state):
+        self._epoch = state["epoch"]
 
 
 CASES = {
@@ -100,6 +129,32 @@ def test_default_config_reports_and_bundles(case, tmp_path):
     assert record.detection.critical_findings()[0].kind == KINDS[case]
     report = crimes.last_outcome.report
     assert report.render().startswith("=" * 64)
+    bundle = crimes.last_incident
+    assert bundle is not None
+    validate_incident_bundle(bundle)
+    vault = CaseVault(str(tmp_path / "vault"))
+    stored = vault.ingest(bundle)
+    assert vault.case_ids() == [stored["case_id"]]
+
+
+def test_unreadable_task_list_still_ends_in_a_bundle(tmp_path):
+    # The post-mortem meets a task list it cannot walk: the report says
+    # so, and the incident is still bundled and stored.
+    vm = LinuxGuest(name="hostile", memory_bytes=4 * 1024 * 1024, seed=3)
+    crimes = Crimes(vm, CrimesConfig(epoch_interval_ms=50.0, seed=3))
+    crimes.install_module(SyscallTableModule())
+    crimes.add_program(HostileTaskList())
+    crimes.start()
+    crimes.run(max_epochs=5)
+
+    record = crimes.records[-1]
+    assert (record.epoch, record.outcome) == (3, "attack")
+    assert record.detection.critical_findings()[0].kind == "syscall-hijack"
+    sections = dict(crimes.last_outcome.report.sections)
+    assert "0x4141" in \
+        sections["Unreadable: linux_psxview over the audit-failed dump"]
+    assert "0xffffffffa0100000" in \
+        sections["System-call slots changed during the attacked epoch"]
     bundle = crimes.last_incident
     assert bundle is not None
     validate_incident_bundle(bundle)

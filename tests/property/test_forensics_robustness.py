@@ -1,21 +1,26 @@
 """Robustness properties: live and offline walkers over guest memory.
 
 An attacker controls every byte the analyzer parses. Whatever garbage a
-dump contains, plugins must either return rows or raise a library error
-— never hang, never chase pointers outside the image, never crash with
-an unrelated exception. The live VMI walkers owe the same.
+dump contains, plugins must either return rows or raise
+:class:`ForensicsError` — never hang, never chase pointers outside the
+image, never surface a guest fault or an unrelated exception. The live
+VMI walkers owe the same, with a library error.
 
 Both sides drive the same walkers (``repro.vmi.walk``), so on an intact
 guest a live scan and its plugin over ``MemoryDump.from_vm`` of the same
 VM must also agree, node for node.
 """
 
+import struct
+
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import CrimesError
+from repro.errors import CrimesError, ForensicsError
 from repro.forensics.dumps import MemoryDump
 from repro.forensics.volatility import VolatilityFramework
+from repro.guest import linux, windows
 from repro.guest.linux import SYSCALL_COUNT, LinuxGuest
+from repro.guest.pagetable import KERNEL_BASE, kernel_pa
 from repro.guest.windows import WindowsGuest
 from repro.hypervisor.xen import Hypervisor
 from repro.vmi.libvmi import VMIInstance
@@ -28,12 +33,16 @@ WINDOWS_PLUGINS = ("pslist", "psscan", "netscan", "handles", "printkey",
 _volatility = VolatilityFramework()
 
 
-def _corrupt(vm, rng_data):
-    """Overwrite random kernel-region spans with attacker bytes."""
+def _corrupt(vm, rng_data, links=()):
+    """Overwrite random kernel-region spans with attacker bytes, then
+    each ``(root, pointer)`` link with a hostile pointer."""
     for offset, blob in rng_data:
         span = min(len(blob), vm.memory.size - offset)
         if span > 0:
             vm.memory.write(offset, blob[:span])
+    for (symbol, offset), pointer in links:
+        vm.memory.write(kernel_pa(vm.symbols.lookup(symbol)) + offset,
+                        struct.pack("<Q", pointer))
     return MemoryDump.from_vm(vm, label="corrupted")
 
 
@@ -47,34 +56,55 @@ corruption = st.lists(
 )
 
 
+#: A pointer an attacker may plant: anything, or an address each side of
+#: the rule refuses (below the direct map, past 2^64, past RAM).
+hostile_pointer = st.one_of(
+    st.integers(min_value=0, max_value=(1 << 64) - 1),
+    st.sampled_from([0x4141, (1 << 64) - 8, KERNEL_BASE + (64 << 20)]),
+)
+
+#: ``(symbol, offset)`` of the links every walk starts from.
+LINUX_ROOTS = (
+    ("init_task", linux.TASK_STRUCT.offset_of("tasks_next")),
+    ("pid_hash", 0), ("modules", 0), ("tcp_sockets", 0), ("file_table", 0),
+    ("kmem_cache_task", linux.KMEM_CACHE.offset_of("base")),
+)
+WINDOWS_ROOTS = (("PsActiveProcessHead", windows.LIST_HEAD.offset_of("next")),)
+
+
+def hostile_links(roots):
+    return st.lists(st.tuples(st.sampled_from(roots), hostile_pointer),
+                    max_size=3)
+
+
 @settings(max_examples=30, deadline=None)
-@given(rng_data=corruption)
-def test_linux_plugins_fail_closed(rng_data):
+@given(rng_data=corruption, links=hostile_links(LINUX_ROOTS))
+def test_linux_plugins_fail_closed(rng_data, links):
     vm = LinuxGuest(name="fuzz-linux", memory_bytes=4 * 1024 * 1024,
                     seed=200)
     vm.create_process("victim", heap_pages=2)
-    dump = _corrupt(vm, rng_data)
+    dump = _corrupt(vm, rng_data, links)
     for plugin_name in LINUX_PLUGINS:
         try:
             rows = _volatility.run(plugin_name, dump)
-        except CrimesError:
-            continue  # fail-closed: a typed library error is acceptable
+        except ForensicsError:
+            continue  # fail-closed: the dump's own error is acceptable
         assert isinstance(rows, list)
 
 
 @settings(max_examples=30, deadline=None)
-@given(rng_data=corruption)
-def test_windows_plugins_fail_closed(rng_data):
+@given(rng_data=corruption, links=hostile_links(WINDOWS_ROOTS))
+def test_windows_plugins_fail_closed(rng_data, links):
     vm = WindowsGuest(name="fuzz-windows", memory_bytes=4 * 1024 * 1024,
                       seed=201)
     pid = vm.create_process("victim.exe")
     vm.open_file(pid, "\\Device\\X\\fuzz.txt")
     vm.open_socket(pid, ("10.0.0.1", 1), ("10.0.0.2", 2))
-    dump = _corrupt(vm, rng_data)
+    dump = _corrupt(vm, rng_data, links)
     for plugin_name in WINDOWS_PLUGINS:
         try:
             rows = _volatility.run(plugin_name, dump)
-        except CrimesError:
+        except ForensicsError:
             continue
         assert isinstance(rows, list)
 

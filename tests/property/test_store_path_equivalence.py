@@ -18,8 +18,6 @@ without ``notify``, ``load_frames``, user stores (including empty ones
 at unmapped addresses), and detaching and re-attaching log-dirty.
 """
 
-import types
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -132,8 +130,9 @@ class _Real:
             self.events = []
             self.memory.add_write_observer(
                 lambda paddr, data: self.events.append((paddr, data)))
-        self.process = UserProcess(types.SimpleNamespace(memory=self.memory),
-                                   pid=1, name="prop")
+        # The harness stands in for the guest: all a process needs of it
+        # is ``memory``.
+        self.process = UserProcess(self, pid=1, name="prop")
         for vpn, pfn in MAPPING.items():
             self.process.page_table.map(vpn, pfn)
 

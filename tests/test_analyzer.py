@@ -169,3 +169,38 @@ class TestPostMortem:
         assert "steal.txt" in rendered
         assert "Extracted executable" in rendered
         assert postmortem.take_cost_ms() > 2500  # init + several plugins
+
+    def test_unreadable_process_list_is_reported_not_raised(self,
+                                                            windows_vm):
+        from repro.guest.pagetable import kernel_pa
+        from repro.guest.windows import LIST_HEAD
+
+        clean = MemoryDump.from_vm(windows_vm, label="last-clean")
+        pid = windows_vm.create_process("reg_read.exe")
+        windows_vm.open_socket(pid, ("192.168.1.76", 49164),
+                               ("104.28.18.89", 8080))
+        # A rootkit points PsActiveProcessHead below the direct map.
+        LIST_HEAD.write_field(
+            windows_vm.memory,
+            kernel_pa(windows_vm.symbols.lookup("PsActiveProcessHead")),
+            "next", 0x4141)
+        detected = MemoryDump.from_vm(windows_vm, label="audit-failed")
+        finding = Finding(
+            "malware", "blacklisted-process", Severity.CRITICAL,
+            "blacklisted process", {"pid": pid, "name": "reg_read.exe",
+                                    "start_time": 1},
+        )
+        postmortem = PostMortem(seed=0)
+        report = postmortem.report(clean, detected, finding)
+        sections = dict(report.sections)
+        # Both plugins that walk the process list report it unreadable,
+        # with the hostile link; the pool sweeps still report.
+        for plugin in ("handles", "psxview"):
+            body = sections["Unreadable: %s over the audit-failed dump"
+                            % plugin]
+            assert "0x4141" in body
+        assert [(row["plugin"], row["dump"])
+                for row in report.artifacts["unreadable"]] == \
+            [("handles", "audit-failed"), ("psxview", "audit-failed")]
+        assert "Extracted executable" in sections
+        assert "104.28.18.89:8080" in report.render()

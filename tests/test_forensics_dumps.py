@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ForensicsError, PageFault
+from repro.errors import ForensicsError, GuestFault
 from repro.forensics.dumps import MemoryDump, diff_rows
 from repro.guest.pagetable import kernel_va
 
@@ -58,10 +58,15 @@ def test_user_translation_unknown_pid_rejected(linux_vm):
 
 
 def test_user_translation_unmapped_page_faults(linux_vm):
+    # The dump refuses an unmapped page as live VMI does: with its own
+    # error, never a guest fault.
     process = linux_vm.create_process("sparse")
     dump = MemoryDump.from_vm(linux_vm)
-    with pytest.raises(PageFault):
+    with pytest.raises(ForensicsError) as caught:
         dump.translate(0x66660000, pid=process.pid)
+    assert not isinstance(caught.value, GuestFault)
+    with pytest.raises(ForensicsError):
+        dump.read_va(0x66660000, 8, pid=process.pid)
 
 
 def test_process_pids_listed(linux_vm):

@@ -47,7 +47,7 @@ def test_free_converts_entry_to_freed_tripwire(process):
     process.free(a)
     # One live canary (b) plus one freed-region tripwire (a).
     assert read_table_count(process) == 2
-    heap = process.vm.processes[process.pid].heap
+    heap = process.heap
     assert b in heap._table_index
     assert a in heap._table_index
     # The freed region is poison-filled.

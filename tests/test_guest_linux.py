@@ -1,6 +1,8 @@
 """Unit tests for the Linux guest kernel object graph."""
 
+import gc
 import struct
+import weakref
 
 import pytest
 
@@ -154,3 +156,28 @@ def test_kernel_threads_have_no_mm(linux_vm):
     task_pa = linux_vm._task_pa(pid)
     record = TASK_STRUCT.read(linux_vm.memory, task_pa)
     assert record["mm"] == 0
+
+
+def test_a_dropped_guest_with_processes_is_freed_without_the_collector():
+    # Processes, their heaps and stack guards point back at what holds
+    # them only weakly, so dropping the guest frees it and its RAM at
+    # once, resurrected processes included.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        vm = LinuxGuest(name="dropped", memory_bytes=2 * 1024 * 1024, seed=5)
+        process = vm.create_process("resident")
+        process.free(process.malloc(64))
+        process.stack_guard.push_frame(32)
+        snapshot = vm.snapshot()
+        vm.exit_process(vm.create_process("short-lived").pid)
+        vm.exit_process(process.pid)
+        vm.restore(snapshot)
+        assert vm.processes[process.pid].vm is vm
+        guest, memory = weakref.ref(vm), weakref.ref(vm.memory)
+        del vm, process, snapshot
+        assert guest() is None
+        assert memory() is None
+    finally:
+        if collecting:
+            gc.enable()

@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.detectors.base import ScanContext
 from repro.detectors.canary import CanaryScanModule
-from repro.errors import IntrospectionError
+from repro.errors import ForensicsError, IntrospectionError, \
+    PhysicalAccessError
+from repro.forensics.dumps import MemoryDump
 from repro.guest.linux import LinuxGuest
 from repro.guest.memory import PAGE_SIZE, PhysicalMemory
 from repro.guest.pagetable import KERNEL_BASE, PageTable
@@ -193,9 +195,11 @@ def _ranges_each(vmi, pid, first, last):
 def test_translate_ranges_matches_translate(ranges, remap):
     domain, process = _guest(respawn=True)
     vm = process.vm
-    base = process.region_range("heap")[0] // PAGE_SIZE
+    heap, heap_end = process.region_range("heap")
+    base = heap // PAGE_SIZE
     # One heap page moved to a frame out of line with its neighbours.
     process.page_table.map(base + remap, vm.user_frames.allocate_one())
+    process.write(heap, bytes(range(251)) * ((heap_end - heap) // 251))
     kernel_vpn = KERNEL_BASE // PAGE_SIZE
     last_frame = vm.memory.frame_count - 1
     firsts, lasts = [], []
@@ -205,6 +209,7 @@ def test_translate_ranges_matches_translate(ranges, remap):
         firsts.append(first)
         lasts.append(first + pages)
     vmi = VMIInstance(domain, seed=1)
+    dump = MemoryDump.from_vm(vm)
     frames, flat, lo, hi = vmi.translate_ranges(np.array(firsts),
                                                 np.array(lasts), process.pid)
     slots = vmi.slot_frames(process.pid)
@@ -213,6 +218,19 @@ def test_translate_ranges_matches_translate(ranges, remap):
                                                last)
         assert (frames[i], flat[i]) == (probe, is_flat), (first, last)
         assert slots[lo[i]:hi[i]].tolist() == reached, (first, last)
+        # The dump reads the range as live VMI does, or both refuse it.
+        vaddr = first * PAGE_SIZE + 100
+        length = (last - first + 1) * PAGE_SIZE - 150
+        assert _read_or_refuse(dump, vaddr, length, process.pid) == \
+            _read_or_refuse(vmi, vaddr, length, process.pid), (first, last)
+
+
+def _read_or_refuse(space, vaddr, length, pid):
+    """The bytes ``space.read_va`` returns, or None where it refuses."""
+    try:
+        return space.read_va(vaddr, length, pid=pid)
+    except (IntrospectionError, ForensicsError, PhysicalAccessError):
+        return None
 
 
 def test_mapping_token_follows_the_page_table():
