@@ -18,6 +18,7 @@ backup owns the page format (flat rows or page-store keys); the ring only
 orders the records and asks the backup to apply or drop them.
 """
 
+import weakref
 from collections import deque
 
 from repro.errors import CheckpointError
@@ -29,20 +30,21 @@ class Checkpoint:
 
     ``memory_image`` is either the full image bytes handed to the
     constructor, or — for history entries — reconstructed on first
-    access through the owning history's resolver and cached.
-    The guest state is held by reference (the checkpointer's committed
+    access by the owning history and cached. ``history`` is the weak
+    reference the history shares among its entries, so the ring is no
+    reference cycle. The guest state is held by reference (the checkpointer's committed
     backup state, which nothing mutates) and copied on every read.
     """
 
     __slots__ = ("epoch", "taken_at", "_guest_state", "dirty_pages", "label",
-                 "_image", "_resolver")
+                 "_image", "_history")
 
     def __init__(self, epoch, taken_at, memory_image, guest_state,
-                 dirty_pages=0, label="", resolver=None):
+                 dirty_pages=0, label="", history=None):
         self.epoch = epoch
         self.taken_at = taken_at
         self._image = memory_image
-        self._resolver = resolver
+        self._history = history
         self._guest_state = guest_state
         self.dirty_pages = dirty_pages
         self.label = label
@@ -54,8 +56,13 @@ class Checkpoint:
 
     @property
     def memory_image(self):
-        if self._image is None and self._resolver is not None:
-            self._image = self._resolver(self)
+        if self._image is None and self._history is not None:
+            history = self._history()
+            if history is None:
+                raise CheckpointError(
+                    "checkpoint %r outlived its history before its image "
+                    "was materialized" % (self,))
+            self._image = history._materialize(self)
         return self._image
 
     @property
@@ -76,13 +83,6 @@ class Checkpoint:
         )
 
 
-def _evicted_resolver(checkpoint):
-    raise CheckpointError(
-        "checkpoint %r was evicted from the history before its image was "
-        "materialized; it can no longer be reconstructed" % (checkpoint,)
-    )
-
-
 class CheckpointHistory:
     """A bounded ring of past checkpoints (newest last), undo-encoded."""
 
@@ -98,6 +98,9 @@ class CheckpointHistory:
         # page format of every undo record.
         self._backup = None
         self.total_recorded = 0
+        # Every entry's way back here, for lazy materialization: one weak
+        # reference, so the ring (and the backup it holds) is no cycle.
+        self._ref = weakref.ref(self)
 
     # -- recording ---------------------------------------------------------
 
@@ -117,7 +120,7 @@ class CheckpointHistory:
         checkpoint = Checkpoint(
             epoch=epoch, taken_at=taken_at, memory_image=None,
             guest_state=guest_state, dirty_pages=dirty_pages, label=label,
-            resolver=self._materialize,
+            history=self._ref,
         )
         self._entries.append([checkpoint, None])
         self.total_recorded += 1
@@ -126,11 +129,9 @@ class CheckpointHistory:
         return checkpoint
 
     def _evict_oldest(self):
-        checkpoint, undo = self._entries.popleft()
+        _checkpoint, undo = self._entries.popleft()
         if undo is not None:
             self._backup.drop(undo[1])
-        if not checkpoint.materialized:
-            checkpoint._resolver = _evicted_resolver
 
     def clear(self):
         """Drop every entry and its undo record (tenant eviction)."""
@@ -147,7 +148,9 @@ class CheckpointHistory:
                 break
         else:
             raise CheckpointError(
-                "checkpoint %r is no longer in the history" % (checkpoint,)
+                "checkpoint %r was evicted from the history before its "
+                "image was materialized; it can no longer be reconstructed"
+                % (checkpoint,)
             )
         image = bytearray(self._backup.materialize())
         for _candidate, undo in reversed(entries[target:-1]):

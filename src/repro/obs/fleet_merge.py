@@ -85,38 +85,59 @@ def verify_merged_chains(merged):
     back apart and check each tenant's chain against its declared head.
     Returns ``{"ok", "tenants", "events", "error", "tenant"}``; any
     mismatch (a tampered event, a head that does not belong to its
-    stream, events from an undeclared tenant) fails the verdict.
+    stream, events from an undeclared tenant) or malformed part (an
+    event without a string tenant and an integer seq, a tenant without
+    an integer event count and a string head) fails the verdict.
     """
+    if not isinstance(merged, dict):
+        return _unverified(0, 0, None, "a fleet export must be an object")
     declared = merged.get("tenants", {})
+    events = merged.get("events", [])
+    if not isinstance(declared, dict) or not isinstance(events, list):
+        return _unverified(0, 0, None,
+                           "tenants must be an object and events a list")
     by_tenant = {}
-    for event in merged.get("events", ()):
-        by_tenant.setdefault(event.get("tenant"), []).append(event)
+    for index, event in enumerate(events):
+        if not (isinstance(event, dict)
+                and isinstance(event.get("tenant"), str)
+                and isinstance(event.get("seq"), int)):
+            return _unverified(len(declared), 0, None,
+                               "event %d needs a string tenant and an "
+                               "integer seq" % index)
+        by_tenant.setdefault(event["tenant"], []).append(event)
     unknown = sorted(set(by_tenant) - set(declared))
     if unknown:
-        return {"ok": False, "tenants": len(declared), "events": 0,
-                "tenant": unknown[0],
-                "error": "events from undeclared tenant %r" % unknown[0]}
+        return _unverified(len(declared), 0, unknown[0],
+                           "events from undeclared tenant %r" % unknown[0])
     checked = 0
     for name in sorted(declared):
         stream = sorted(by_tenant.get(name, []),
                         key=lambda event: event["seq"])
         info = declared[name]
-        if len(stream) != info.get("events", len(stream)):
-            return {"ok": False, "tenants": len(declared),
-                    "events": checked, "tenant": name,
-                    "error": "tenant %r declares %d event(s) but the "
-                             "merged stream carries %d"
-                             % (name, info.get("events"), len(stream))}
-        verdict = verify_event_chain(stream,
-                                     head_hash=info.get("head_hash"))
+        if not (isinstance(info, dict)
+                and isinstance(info.get("events"), int)
+                and isinstance(info.get("head_hash"), str)):
+            return _unverified(len(declared), checked, name,
+                               "tenant %r needs an integer event count "
+                               "and a string head hash" % name)
+        if len(stream) != info["events"]:
+            return _unverified(len(declared), checked, name,
+                               "tenant %r declares %d event(s) but the "
+                               "merged stream carries %d"
+                               % (name, info["events"], len(stream)))
+        verdict = verify_event_chain(stream, head_hash=info["head_hash"])
         if not verdict["ok"]:
-            return {"ok": False, "tenants": len(declared),
-                    "events": checked + verdict["checked"], "tenant": name,
-                    "error": "tenant %r chain: %s"
-                             % (name, verdict["error"])}
+            return _unverified(len(declared), checked + verdict["checked"],
+                               name, "tenant %r chain: %s"
+                               % (name, verdict["error"]))
         checked += verdict["checked"]
     return {"ok": True, "tenants": len(declared), "events": checked,
             "tenant": None, "error": None}
+
+
+def _unverified(tenants, events, tenant, error):
+    return {"ok": False, "tenants": tenants, "events": events,
+            "tenant": tenant, "error": error}
 
 
 def merge_registry_snapshots(snapshots_by_tenant):

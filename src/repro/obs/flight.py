@@ -25,6 +25,7 @@ Two invariants keep the recorder production-safe:
 import hashlib
 import json
 import time
+import weakref
 from collections import deque
 
 from repro.errors import ObservabilityError
@@ -77,17 +78,18 @@ EVENT_KINDS = frozenset({
     "vmi.list_truncated",
 })
 
-#: Canonical-JSON encoder, built once — ``json.dumps`` with non-default
+#: Canonical JSON (sorted keys, no whitespace): the one encoding every
+#: hash chain here digests. Built once — ``json.dumps`` with non-default
 #: arguments constructs a fresh encoder per call, which the recorder's
 #: always-on hot path cannot afford.
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _sha256 = hashlib.sha256
 
 
-def _payload_digest(prev_hash, payload):
-    """Chain step: SHA-256 over the previous hash + canonical payload."""
+def link_digest(prev_hash, payload):
+    """One chain link: SHA-256 over the previous hash + canonical payload."""
     return _sha256(
-        (prev_hash + _canonical(payload)).encode("utf-8")
+        (prev_hash + canonical_json(payload)).encode("utf-8")
     ).hexdigest()
 
 
@@ -114,20 +116,28 @@ class FlightEvent:
         self.epoch = epoch
         self.span_id = span_id
         self.attrs = attrs
+        #: A weak reference to the recorder, shared by all its events.
         self._recorder = recorder
         self._prev_hash = None
         self._hash = None
 
+    def _seal(self):
+        recorder = self._recorder()
+        if recorder is None:
+            raise ObservabilityError(
+                "%r was never sealed and its recorder is gone" % (self,))
+        recorder.seal()
+
     @property
     def prev_hash(self):
         if self._hash is None:
-            self._recorder.seal()
+            self._seal()
         return self._prev_hash
 
     @property
     def hash(self):
         if self._hash is None:
-            self._recorder.seal()
+            self._seal()
         return self._hash
 
     def payload(self):
@@ -175,6 +185,9 @@ class FlightRecorder:
         self.events_recorded = 0
         #: kind -> the registry counter :meth:`record` bumps per event.
         self._counters = {}
+        # The ring holds its events, so their one shared reference back
+        # is weak: a dropped recorder is freed without the collector.
+        self._ref = weakref.ref(self)
 
     @property
     def head_hash(self):
@@ -215,7 +228,7 @@ class FlightRecorder:
             epoch=epoch,
             span_id=span_id,
             attrs=attrs,
-            recorder=self,
+            recorder=self._ref,
         )
         self._next_seq += 1
         if len(self._ring) == self.capacity:
@@ -249,7 +262,7 @@ class FlightRecorder:
         tenant = self.tenant
         while self._unsealed:
             event = self._unsealed.popleft()
-            digest = _payload_digest(head, {
+            digest = link_digest(head, {
                 "seq": event.seq,
                 "t_ms": event.t_ms,
                 "kind": event.kind,
@@ -292,13 +305,15 @@ class FlightRecorder:
     def verify_chain(self):
         """Re-derive the retained chain; report whether it is intact.
 
-        The oldest retained event anchors the check (its ``prev_hash`` is
-        trusted — its predecessors were evicted); every later link must
-        recompute, and the final link must equal the rolling head hash.
+        The oldest retained event anchors the check: its ``prev_hash`` is
+        the genesis until the ring first evicts, and trusted after that.
+        Every later link must recompute, and the final link must equal
+        the rolling head hash.
         """
         return verify_event_chain(
             [event.to_dict() for event in self._ring],
             head_hash=self.head_hash,
+            genesis=None if self.evicted else GENESIS_HASH,
         )
 
     # -- export ------------------------------------------------------------
@@ -334,31 +349,41 @@ class FlightRecorder:
         }
 
 
-def verify_event_chain(event_dicts, head_hash=None):
-    """Verify a serialized event chain (e.g. from an incident bundle).
+def verify_event_chain(entries, head_hash=None, genesis=None):
+    """Verify serialized chain entries: the one rule every chain here keeps.
 
-    Returns ``{"ok": bool, "checked": int, "error": str|None}``. Works on
-    plain dicts so a bundle consumer can validate without the recorder.
+    Each ``hash`` is the :func:`link_digest` of the hash before it and
+    the entry's payload, the entry without ``prev_hash`` and ``hash``.
+    The first ``prev_hash`` must equal ``genesis`` if given (an
+    append-only log) and is trusted if not (a ring that evicted its
+    predecessors); ``head_hash``, if given, must equal the last hash.
+    Returns ``{"ok": bool, "checked": int, "error": str|None}``.
     """
     checked = 0
-    prev = None
-    for entry in event_dicts:
-        payload = {key: entry[key] for key in
-                   ("seq", "t_ms", "kind", "tenant", "epoch", "span_id",
-                    "attrs")}
-        expected = _payload_digest(entry["prev_hash"], payload)
-        if expected != entry["hash"]:
-            return {"ok": False, "checked": checked,
-                    "error": "event seq=%d hash mismatch" % entry["seq"]}
-        if prev is not None and entry["prev_hash"] != prev["hash"]:
-            return {"ok": False, "checked": checked,
-                    "error": "chain broken between seq=%d and seq=%d"
-                             % (prev["seq"], entry["seq"])}
-        prev = entry
+    prev = genesis
+    for entry in entries:
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("prev_hash"), str)
+                and isinstance(entry.get("hash"), str)):
+            return _broken(checked, "entry %d is not a chain entry"
+                           % checked)
+        if prev is None:
+            prev = entry["prev_hash"]
+        elif entry["prev_hash"] != prev:
+            return _broken(checked, "chain broken at seq=%s"
+                           % (entry.get("seq"),))
+        payload = entry.copy()
+        del payload["prev_hash"], payload["hash"]
+        if link_digest(prev, payload) != entry["hash"]:
+            return _broken(checked, "entry seq=%s hash mismatch"
+                           % (entry.get("seq"),))
+        prev = entry["hash"]
         checked += 1
-    if head_hash is not None:
-        tail = prev["hash"] if prev is not None else GENESIS_HASH
-        if tail != head_hash:
-            return {"ok": False, "checked": checked,
-                    "error": "head hash does not match the retained tail"}
+    if head_hash is not None and head_hash != (
+            GENESIS_HASH if prev is None else prev):
+        return _broken(checked, "head hash does not match the chain tail")
     return {"ok": True, "checked": checked, "error": None}
+
+
+def _broken(checked, error):
+    return {"ok": False, "checked": checked, "error": error}

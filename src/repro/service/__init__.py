@@ -8,8 +8,10 @@ in a tamper-evident store whose integrity is *re-verified on ingest*,
 this package turns the reproduction into a deployable control plane:
 
 * :mod:`repro.service.ingest` — the single validator every ingest path
-  (CLI, vault, HTTP) shares: hash chains and causal epoch chains are
-  re-derived at the service boundary, and rejections carry typed codes.
+  (CLI, vault, HTTP) shares: at the service boundary a bundle's flight
+  hash chain is re-verified, its causal epoch chain is re-derived from
+  the verified events, every field a reader relies on is type-checked,
+  and rejections carry typed codes.
 * :mod:`repro.service.vault` — the case vault: content-addressed,
   read-only case storage with an append-only, hash-chained audit log.
 * :mod:`repro.service.workers` — a threaded worker queue running

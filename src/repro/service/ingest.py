@@ -2,9 +2,12 @@
 
 The trust model is CloRoFor's: evidence is only as good as the check
 performed where it *crosses a boundary*. An incident bundle's rolling
-SHA-256 flight chain and causal epoch chain are therefore re-derived
-here — at the service edge — not trusted from the producer; a tampered,
-truncated, or mis-headed artifact is rejected with a typed
+SHA-256 flight chain is therefore re-verified here — at the service
+edge — and its causal epoch chain re-derived from the verified events,
+not trusted from the producer. The bundle's other fields (detection,
+metrics, config, checkpoints, SLO trail, forensics) are the producer's
+summaries: their shape is checked, their content is not. A tampered,
+truncated, mis-headed or malformed artifact is rejected with a typed
 :class:`~repro.errors.IngestError` before it can touch the vault.
 
 ``crimes-repro incident --validate <bundle.json>`` runs exactly this
@@ -21,14 +24,14 @@ from repro.obs.incident import validate_incident_bundle
 #: Rejection codes this boundary can emit (documented for API consumers).
 INGEST_ERROR_CODES = (
     "not-json",            # the payload is not parseable JSON
-    "not-a-bundle",        # parsed, but not a JSON object
-    "missing-keys",        # required crimes-obs/2 keys absent
+    "not-a-bundle",        # not a JSON object, or a field of the wrong type
+    "missing-keys",        # required keys absent (bundle, event, finding)
     "schema-mismatch",     # schema tag is not crimes-obs/2
     "hash-chain-broken",   # re-derived flight chain != recorded chain
     "epoch-chain-empty",   # no causal epoch chain at all
-    "epoch-chain-truncated",    # chain unordered or cut before the incident
-    "epoch-chain-out-of-ring",  # chain references evicted/forged events
-    "fleet-chain-mismatch",     # merged export's per-tenant heads don't hold
+    "epoch-chain-truncated",    # its epochs differ from the re-derived ones
+    "epoch-chain-out-of-ring",  # an event or flag differs from the re-derived
+    "fleet-chain-mismatch",     # merged export malformed, or heads don't hold
     "duplicate-case",      # vault already holds this content-derived case
 )
 

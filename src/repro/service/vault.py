@@ -21,9 +21,10 @@ Three properties make this a *vault* rather than a directory of JSON:
   structurally impossible (altered evidence hashes to a different ID,
   and re-ingesting identical evidence is a typed duplicate rejection).
 * **Append-only audit log** — every ingest, rejection, and report
-  attachment appends one hash-chained line to ``audit.jsonl``; the
-  chain re-verifies with :meth:`CaseVault.verify_audit`, so the vault's
-  own history carries the same tamper evidence as the bundles it holds.
+  attachment appends one line to ``audit.jsonl``, hash-chained by the
+  flight journal's own rule (:mod:`repro.obs.flight`); the chain
+  re-verifies with :meth:`CaseVault.verify_audit`, so the vault's own
+  history carries the same tamper evidence as the bundles it holds.
 
 Timestamps in the audit log are *virtual* (the evidence's own timeline)
 plus a monotone logical sequence — the vault never reads the wall
@@ -46,6 +47,7 @@ from repro.errors import (
     VaultIntegrityError,
 )
 from repro.forensics.dumps import MemoryDump
+from repro.obs.flight import link_digest, verify_event_chain
 from repro.service.ingest import case_id_for, validate_bundle
 
 #: Schema tag for stored case artifacts.
@@ -57,14 +59,6 @@ AUDIT_GENESIS = hashlib.sha256(b"crimes-case-vault-genesis").hexdigest()
 #: The only shape a case ID can have: ``case-`` + 16 hex chars of the
 #: flight chain head (:func:`~repro.service.ingest.case_id_for`).
 _CASE_ID_RE = re.compile(r"^case-[0-9a-f]{16}$")
-
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _chain_digest(prev_hash, payload):
-    return hashlib.sha256(
-        (prev_hash + _canonical(payload)).encode("utf-8")
-    ).hexdigest()
 
 
 def _normalize_module(name):
@@ -182,10 +176,10 @@ class CaseVault:
         return case_ids, rows
 
     def _audit_append(self, kind, **details):
-        """Append one hash-chained line to the vault audit log."""
+        """Append one line, linked by the flight journal's chain rule."""
         payload = {"seq": self._audit_seq, "kind": kind}
         payload.update(details)
-        digest = _chain_digest(self._audit_head, payload)
+        digest = link_digest(self._audit_head, payload)
         entry = dict(payload, prev_hash=self._audit_head, hash=digest)
         with open(self.audit_path, "a") as handle:
             handle.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -209,25 +203,8 @@ class CaseVault:
         with self._lock:
             entries = self.audit_entries()
             head = self._audit_head
-        prev = AUDIT_GENESIS
-        checked = 0
-        for entry in entries:
-            payload = {key: value for key, value in entry.items()
-                       if key not in ("prev_hash", "hash")}
-            if entry["prev_hash"] != prev:
-                return {"ok": False, "checked": checked,
-                        "error": "audit chain broken at seq=%d"
-                                 % entry["seq"]}
-            if _chain_digest(prev, payload) != entry["hash"]:
-                return {"ok": False, "checked": checked,
-                        "error": "audit entry seq=%d hash mismatch"
-                                 % entry["seq"]}
-            prev = entry["hash"]
-            checked += 1
-        if prev != head:
-            return {"ok": False, "checked": checked,
-                    "error": "audit head does not match the log tail"}
-        return {"ok": True, "checked": checked, "error": None}
+        return verify_event_chain(entries, head_hash=head,
+                                  genesis=AUDIT_GENESIS)
 
     # -- ingest ------------------------------------------------------------
 

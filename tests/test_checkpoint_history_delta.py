@@ -10,13 +10,17 @@ allocates O(RAM) per committed epoch, and (c) that the ring holds no
 image of its own, flat or store-backed.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checkpoint.checkpointer import Checkpointer
 from repro.checkpoint.store import PageStore
+from repro.core.config import CrimesConfig
+from repro.core.crimes import Crimes
 from repro.errors import CheckpointError
 from repro.guest.linux import LinuxGuest
 from repro.guest.memory import PAGE_SIZE
@@ -145,6 +149,42 @@ def test_evicted_materialized_checkpoint_keeps_its_image():
     assert checkpointer.history.all() != [first]
     assert first.memory_image == image
     assert image[:PAGE_SIZE] == b"\x01" * PAGE_SIZE
+
+
+def test_checkpoint_outliving_its_history_raises_clearly():
+    checkpointer = Checkpointer(make_domain(), history_capacity=2)
+    checkpointer.start()
+    first = _commit_epoch(checkpointer, {0: 1})
+    _commit_epoch(checkpointer, {1: 2})
+    del checkpointer
+    with pytest.raises(CheckpointError, match="outlived its history"):
+        _ = first.memory_image
+
+
+def test_a_dropped_crimes_frees_its_history_and_journal_at_once():
+    # Checkpoints and flight events reach their history and recorder
+    # through one shared weak reference, so neither is a cycle: dropping
+    # the framework frees the backup, a full copy of guest RAM, without
+    # the collector.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        vm = LinuxGuest(name="dropped", memory_bytes=2 * 1024 * 1024,
+                        seed=9)
+        crimes = Crimes(vm, CrimesConfig(epoch_interval_ms=50.0, seed=9,
+                                         history_capacity=4))
+        crimes.start()
+        crimes.run(max_epochs=3)
+        checkpointer = crimes.checkpointer
+        assert len(checkpointer.history) == 3
+        refs = [weakref.ref(checkpointer.history),
+                weakref.ref(checkpointer._backup),
+                weakref.ref(crimes.observer.flight)]
+        del vm, crimes, checkpointer
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_full_flat_ring_holds_ram_plus_undo_pages_only():

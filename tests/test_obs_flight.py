@@ -61,6 +61,13 @@ class TestFlightRecorder:
         assert not verdict["ok"]
         assert "hash mismatch" in verdict["error"]
 
+    def test_unsealed_event_outliving_its_recorder_raises_clearly(self):
+        # Events point back at their recorder weakly, so the ring is no
+        # cycle; an event kept past its recorder cannot be sealed.
+        event = FlightRecorder(VirtualClock()).record("a")
+        with pytest.raises(ObservabilityError, match="never sealed"):
+            _ = event.hash
+
     def test_dropping_a_middle_event_breaks_linkage(self):
         recorder = FlightRecorder(VirtualClock())
         for kind in ("a", "b", "c"):

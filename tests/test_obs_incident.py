@@ -130,7 +130,8 @@ class TestEpochChain:
     def test_chain_without_prior_commit_is_single_link(self):
         crimes = make_crimes(seed=106)
         crimes.observer.flight.record("epoch.begin", epoch=1)
-        chain = build_epoch_chain(crimes.observer.flight, 1)
+        chain = build_epoch_chain(
+            crimes.observer.flight.snapshot()["events"], 1)
         assert [link["epoch"] for link in chain] == [1]
         assert not chain[0]["clean_checkpoint"]
 
@@ -141,7 +142,7 @@ class TestEpochChain:
         flight.record("epoch.begin", epoch=5)
         flight.record("epoch.begin", epoch=6)
         flight.record("epoch.abort", epoch=6)
-        chain = build_epoch_chain(flight, 6)
+        chain = build_epoch_chain(flight.snapshot()["events"], 6)
         assert [link["epoch"] for link in chain] == [4, 5, 6]
         assert [link["clean_checkpoint"] for link in chain] == \
             [True, False, False]
