@@ -3,7 +3,8 @@
 These reproduce the pre-optimization hot paths the delta-checkpoint /
 zero-copy PR replaced:
 
-* ``LegacyCheckpointer`` — commit() propagates staged pages with a
+* ``LegacyCheckpointer`` — the backup is its own seed-format bytearray
+  (``SeedBackup``); commit() propagates staged pages into it with a
   per-page Python loop and, when history is enabled, appends a full
   ``bytes`` RAM image plus a deepcopy per committed epoch to its own
   bounded deque (``seed_history``); rollback()
@@ -39,15 +40,45 @@ from repro.guest.memory import PAGE_SIZE
 from repro.hypervisor.dirty import ScanStats, WORD_BITS
 
 
+class SeedBackup:
+    """The seed's backup: one bytearray copy of RAM, written in place.
+
+    ``LegacyCheckpointer`` reads and writes ``image`` itself; the methods
+    are the few backup calls the shared epoch pipeline makes (staging,
+    dropping references, export), so the reference never depends on the
+    live backup's format.
+    """
+
+    def __init__(self, view):
+        self.image = bytearray(view)
+
+    def stage(self, view, pfns, held, phase_ms, injector):
+        return None
+
+    def drop(self, refs):
+        pass
+
+    def release(self):
+        pass
+
+    def materialize(self):
+        return bytes(self.image)
+
+    def retained_bytes(self):
+        return len(self.image)
+
+
 class LegacyCheckpointer(Checkpointer):
     """Checkpointer with the seed revision's O(RAM) commit/rollback.
 
-    A moving reference: its staging deep-copies today's
-    ``vm.state_dict()``, so its cost follows the current guest-state
-    format, not the seed revision's. When the canary heap's state became
-    one ``bytes`` mirror, its harvest+stage in the epoch-phases bench fell
-    from 44.5-46.9 to 8.5-10.3 ms per epoch. A speedup against it is read
-    beside each side's own samples in the BENCH files.
+    Its backup is a :class:`SeedBackup` built in ``start()``, which
+    ``backup_snapshot()`` exports. A moving reference all the same: its
+    staging deep-copies today's ``vm.state_dict()``, so its cost follows
+    the current guest-state format, not the seed revision's. When the
+    canary heap's state became one ``bytes`` mirror, its harvest+stage in
+    the epoch-phases bench fell from 44.5-46.9 to 8.5-10.3 ms per epoch.
+    A speedup against it is read beside each side's own samples in the
+    BENCH files.
     """
 
     def __init__(self, *args, **kwargs):
@@ -58,6 +89,11 @@ class LegacyCheckpointer(Checkpointer):
     def start(self):
         super().start()
         if self.fidelity is CopyFidelity.FULL:
+            view = self.domain.vm.memory.view()
+            try:
+                self._backup = SeedBackup(view)
+            finally:
+                view.release()
             # The seed kept the backup guest state as a live deepcopy,
             # not a frozen blob.
             self._backup_state = copy.deepcopy(self.domain.vm.state_dict())

@@ -6,12 +6,15 @@ image, and (4) reports the virtual-time cost of each phase. The backup is
 only advanced when the caller *commits* — i.e. after the security audit
 passes — so it is always the most recent known-clean state.
 
-The backup has two formats, chosen once in ``start()``: a flat bytearray
-(:class:`_FlatBackup`) or one key per frame in a shared, deduplicating
+The backup has two formats, chosen once in ``start()``: a private slab of
+page rows behind a frame->slot index (:class:`_FlatBackup`) or one key
+per frame in a shared, deduplicating
 :class:`~repro.checkpoint.store.PageStore` (:class:`_StoreBackup`). Both
 stage, commit, restore and hand the checkpoint history its undo records
 (see :mod:`repro.checkpoint.snapshot`) behind the same methods, so the
-checkpointer itself never branches on the format.
+checkpointer itself never branches on the format. An undo record has one
+shape in both: ``(pfns, refs)``, where a ref is a slab slot or a store
+key that still holds the frame's previous contents.
 
 Two fidelity modes:
 
@@ -24,6 +27,7 @@ Two fidelity modes:
 """
 
 import enum
+import mmap
 
 import numpy as _np
 
@@ -46,87 +50,178 @@ class CopyFidelity(enum.Enum):
     ACCOUNTING = "accounting"
 
 
-#: Candidate frames a flat rollback diffs and restores per block: 1 MiB
-#: of RAM rows and 1 MiB of backup rows, so each block's gathers stay in
-#: cache and the temporary arrays stay small whatever the candidate count.
-RESTORE_BLOCK_FRAMES = 256
+#: Frames a flat backup copies, diffs or gathers per block: 1 MiB of
+#: rows on each side, so each block stays in cache and the block
+#: buffers stay small whatever the frame count.
+BLOCK_FRAMES = 256
+
+#: One 4 KiB page as a single numpy element: comparing two row blocks
+#: viewed as this compares whole pages, with no per-word temporary.
+_PAGE = _np.dtype((_np.void, PAGE_SIZE))
 
 
 class _FlatBackup:
-    """The backup as one private bytearray: §2's second copy of RAM.
+    """The backup as a slab of page rows behind a frame->slot index.
+
+    §2's second copy of RAM, with room for the history's undo pages: one
+    private anonymous mapping reserves ``frames x (history capacity +
+    1)`` rows, and only rows that were ever written become resident.
+    ``_index[pfn]`` is the slot that holds frame ``pfn`` of the backup;
+    the live image starts in the first ``frames`` slots, the only range
+    advised for huge pages.
 
     Staging copies nothing (commit reads the paused guest's RAM view).
-    An undo record is ``(pfns, rows)``: a numpy gather of the backup rows
-    a commit overwrote.
+    Without a history, commit overwrites each dirty frame's slot in
+    place. With one, it copies each dirty frame once into a free slot
+    and re-points the index: the undo record is ``(pfns, slots)``, the
+    slots the commit superseded, which still hold the previous image's
+    rows. Dropping a record pushes its slots onto a LIFO free stack,
+    and a commit takes slots from that stack before it touches a new
+    row, so the touched rows are the most slots ever in use at once:
+    RAM, the ring's undo pages and the epoch being committed.
     """
 
-    #: Private bytes per undo-record page (the history's accounting).
-    undo_page_bytes = PAGE_SIZE
-
-    def __init__(self, view):
-        self.image = bytearray(view)
+    def __init__(self, view, history_capacity):
+        frames = len(view) // PAGE_SIZE
+        image_bytes = frames * PAGE_SIZE
+        # MAP_PRIVATE: a forked fleet worker copies the rows it writes
+        # (the default anonymous mapping is shared). CPython adds
+        # MAP_ANONYMOUS itself for fd -1.
+        self._slab = mmap.mmap(-1, image_bytes * (history_capacity + 1),
+                               flags=mmap.MAP_PRIVATE)
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            try:
+                self._slab.madvise(mmap.MADV_HUGEPAGE, 0, image_bytes)
+            except OSError:
+                pass  # a kernel without transparent huge pages
+        self._rows = frame_rows(self._slab)
+        self._rows[:frames] = frame_rows(view)
+        self._index = _np.arange(frames, dtype=_np.intp)
+        # The free stack is _free[:_free_top]; no slot at or above _high
+        # was ever written.
+        self._free = _np.empty(frames * history_capacity, dtype=_np.intp)
+        self._free_top = 0
+        self._high = frames
+        # Without a history every commit writes in place, so the index
+        # stays the identity and the image is the slab's first rows.
+        self._in_place = not history_capacity
+        # Block buffers for commit's copy and restore's compare, kept for
+        # the backup's life and touched only as far as a call needs them:
+        # allocating them per call made the allocator trim and re-fault
+        # them on every call.
+        block = (min(frames, BLOCK_FRAMES), PAGE_SIZE // 8)
+        self._gathered = _np.empty(block, dtype=_np.uint64)
+        self._live = _np.empty(block, dtype=_np.uint64)
 
     def stage(self, view, pfns, held, phase_ms, injector):
         return None
 
-    def commit(self, pfns, view, staged, keep_undo):
-        """Scatter the staged frames into the backup; returns the undo.
+    def _take(self, count):
+        """``count`` free slots: the stack's top first, then fresh rows."""
+        top = self._free_top
+        reused = min(count, top)
+        fresh = count - reused
+        if self._high + fresh > len(self._rows):
+            raise CheckpointError(
+                "backup slab exhausted: %d slot(s) wanted, %d free, %d of "
+                "%d rows touched" % (count, top, self._high, len(self._rows)))
+        slots = _np.empty(count, dtype=_np.intp)
+        slots[:reused] = self._free[top - reused:top]
+        slots[reused:] = _np.arange(self._high, self._high + fresh)
+        self._free_top = top - reused
+        self._high += fresh
+        return slots
 
-        One fancy-indexed row copy each way — the backup and the staged
-        RAM view are both (frames x PAGE_SIZE) matrices, so neither the
-        undo gather nor the scatter loops per page in Python.
+    def _copy_in(self, slots, ram, pfns):
+        """``rows[slots] = ram[pfns]``, one cache-sized block at a time.
+
+        Each block is gathered into a buffer that stays in cache and
+        scattered from there, so each page crosses memory once each way.
+        ``pfns`` are harvested dirty frames, always in range, so the
+        gather skips numpy's bounds-checked mode, which buffers its
+        output.
         """
+        for start in range(0, len(pfns), BLOCK_FRAMES):
+            block = pfns[start:start + BLOCK_FRAMES]
+            rows = self._gathered[:len(block)]
+            _np.take(ram, block, axis=0, out=rows, mode="clip")
+            self._rows[slots[start:start + BLOCK_FRAMES]] = rows
+
+    def commit(self, pfns, view, staged, keep_undo):
+        """Copy the staged frames into the backup; returns the undo."""
         if not pfns:
             return None
         idx = _np.asarray(pfns, dtype=_np.intp)
-        backup = frame_rows(self.image)
-        undo = (idx, backup[idx]) if keep_undo else None
-        backup[idx] = frame_rows(view)[idx]
-        return undo
+        ram = frame_rows(view)
+        if not keep_undo:
+            self._copy_in(self._index[idx], ram, idx)
+            return None
+        slots = self._take(len(idx))
+        self._copy_in(slots, ram, idx)
+        superseded = self._index[idx]
+        self._index[idx] = slots
+        return idx, superseded
 
     def apply_undo(self, image, undo):
-        idx, rows = undo
-        frame_rows(image)[idx] = rows
+        pfns, slots = undo
+        frame_rows(image)[pfns] = self._rows[slots]
 
-    # A flat tenant holds no store references: dropping a record or
-    # evicting the tenant returns nothing.
-    def drop(self, keys):
-        pass
+    def drop(self, slots):
+        """Return an undo record's slots to the free stack."""
+        if slots is not None:
+            top = self._free_top
+            self._free[top:top + len(slots)] = slots
+            self._free_top = top + len(slots)
 
-    def release(self, history):
-        pass
+    def release(self):
+        pass  # no shared references: the slab goes with the backup
 
     def restore(self, candidates, ram_view, memory):
         """Write back the candidate frames that differ; returns how many.
 
-        The candidates are walked in blocks of ``RESTORE_BLOCK_FRAMES``:
-        each block gathers its backup rows, compares them with the RAM
-        rows, and scatters the differing ones back with one untracked
-        ``load_frames`` call. The numpy view of ``ram_view`` is dropped
-        before returning, so the caller may release it.
+        The candidates are walked in blocks of ``BLOCK_FRAMES``: each
+        block gathers its backup rows through the index and its RAM rows
+        into the block buffers, compares them page by page, and scatters
+        the differing backup rows back with one untracked
+        ``load_frames`` call. The candidates are frames of RAM, so the
+        gathers skip the checked mode as commit's do. The numpy view of
+        ``ram_view`` is dropped before returning, so the caller may
+        release it.
         """
         idx = _np.fromiter(candidates, dtype=_np.intp, count=len(candidates))
-        backup = frame_rows(self.image)
+        slots = self._index[idx]
         ram = frame_rows(ram_view)
         differing = 0
         try:
-            for start in range(0, len(idx), RESTORE_BLOCK_FRAMES):
-                block = idx[start:start + RESTORE_BLOCK_FRAMES]
-                rows = backup[block]
-                changed = (ram[block] != rows).any(axis=1)
-                count = int(_np.count_nonzero(changed))
-                if count:
+            for start in range(0, len(idx), BLOCK_FRAMES):
+                block = idx[start:start + BLOCK_FRAMES]
+                count = len(block)
+                rows = self._gathered[:count]
+                live = self._live[:count]
+                _np.take(self._rows, slots[start:start + BLOCK_FRAMES],
+                         axis=0, out=rows, mode="clip")
+                _np.take(ram, block, axis=0, out=live, mode="clip")
+                changed = live.view(_PAGE).ravel() != rows.view(_PAGE).ravel()
+                changes = int(_np.count_nonzero(changed))
+                if changes:
                     memory.load_frames(block[changed], rows[changed])
-                    differing += count
+                    differing += changes
         finally:
             del ram
         return differing
 
     def materialize(self):
-        return bytes(self.image)
+        """The backup image as bytes, joined from per-block gathers."""
+        index = self._index
+        if self._in_place:
+            return self._slab[:len(index) * PAGE_SIZE]
+        return b"".join(
+            self._rows[index[start:start + BLOCK_FRAMES]]
+            for start in range(0, len(index), BLOCK_FRAMES))
 
     def retained_bytes(self):
-        return len(self.image)
+        """The slab's touched rows: the live image, undo and free slots."""
+        return self._high * PAGE_SIZE
 
 
 class _StoreBackup:
@@ -137,9 +232,6 @@ class _StoreBackup:
     list parallel to the staged pfns) and of its undo records (``(pfns,
     keys)``) is one store reference owned by ``owner``.
     """
-
-    #: Undo pages live in the shared store and are attributed there.
-    undo_page_bytes = 0
 
     def __init__(self, store, owner, view):
         self._store = store
@@ -191,9 +283,8 @@ class _StoreBackup:
         if keys:
             self._store.release_many(keys, self._owner)
 
-    def release(self, history):
-        """Return every reference: undo records first, then the backup."""
-        history.clear()
+    def release(self):
+        """Return the backup's references (after its undo records)."""
         self.drop(self._keys)
         self._keys = None
 
@@ -352,7 +443,7 @@ class Checkpointer:
                 if self.store is not None:
                     self._backup = _StoreBackup(self.store, self.owner, view)
                 else:
-                    self._backup = _FlatBackup(view)
+                    self._backup = _FlatBackup(view, self.history.capacity)
             finally:
                 view.release()
             self._backup_state = vm.state_dict()
@@ -675,11 +766,13 @@ class Checkpointer:
         Order matters for another tenant's safety not at all — the
         store refcounts — but releasing staged refs first keeps the
         debug counters monotone: undo records and the backup follow. A
-        flat tenant holds no references and drops nothing.
+        flat tenant holds no store references; its undo records' slots
+        go back to its slab's free stack.
         """
         self.release_staged_refs()
         if self._backup is not None:
-            self._backup.release(self.history)
+            self.history.clear()
+            self._backup.release()
 
     # -- accounting ----------------------------------------------------------
 
@@ -688,14 +781,15 @@ class Checkpointer:
 
         The single accounting definition ``memory_overhead_bytes()`` is
         built on: ACCOUNTING fidelity retains nothing (there is no
-        backup image to count); a flat FULL tenant retains its backup
-        image plus its history's undo records; a store-backed tenant's
-        pages live in the host's shared store and are counted (deduped)
-        there — reporting 0 here avoids double counting.
+        backup image to count); a flat FULL tenant retains its slab's
+        touched rows — the backup image, its history's undo pages and
+        the free slots between them; a store-backed tenant's pages live
+        in the host's shared store and are counted (deduped) there —
+        reporting 0 here avoids double counting.
         """
         if self._backup is None:
             return 0
-        return self._backup.retained_bytes() + self.history.retained_bytes()
+        return self._backup.retained_bytes()
 
     def history_stats(self):
         """Plain-data checkpoint-history state (for incident bundles)."""

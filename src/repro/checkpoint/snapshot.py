@@ -6,16 +6,18 @@ of checkpoints as an extension to aid forensics; :class:`CheckpointHistory`
 implements that extension with a bounded ring.
 
 The ring keeps no image of its own: it is anchored on the checkpointer's
-live backup. Each commit hands it an *undo record* — the backup's
-pre-commit contents of the frames the commit overwrote — which it
-attaches to the previous entry. The newest entry's image is the live
+live backup. Each commit hands it an *undo record* — ``(pfns, refs)``,
+the backup's references (slab slots or store keys) to the pre-commit
+contents of the frames the commit replaced — which it attaches to the
+previous entry. The newest entry's image is the live
 backup; an older entry's image is the live backup with the newer
 entries' undo records applied, newest first. Recording a checkpoint is
 therefore O(dirty pages) in time and space, a full ``memory_image`` is
 reconstructed lazily (and cached) only when a forensic consumer actually
 reads it, and evicting the oldest entry just drops its undo record. The
-backup owns the page format (flat rows or page-store keys); the ring only
-orders the records and asks the backup to apply or drop them.
+backup owns the page format and counts the pages (slab slots or
+page-store keys); the ring only orders the records and asks the backup
+to apply or drop them.
 """
 
 import weakref
@@ -172,18 +174,6 @@ class CheckpointHistory:
             len(entry[1][0]) for entry in self._entries
             if entry[1] is not None
         )
-
-    def retained_bytes(self):
-        """Private bytes the ring holds: its undo records' pages.
-
-        Part of the single checkpoint-tier accounting definition: this
-        is what the ring *itself* keeps resident, so a host can sum it
-        with the backup images. A store-backed ring reports 0 — its
-        pages live in the shared store and are attributed there.
-        """
-        if self._backup is None:
-            return 0
-        return self.delta_pages_retained() * self._backup.undo_page_bytes
 
     def __len__(self):
         return len(self._entries)

@@ -15,7 +15,8 @@ plain-data bundle (schema ``crimes-obs/2``):
 ``validate_incident_bundle`` re-derives the hash chain from the
 serialized events and then the epoch chain, a pure function of them, so
 a consumer needs no recorder state; of the producer's other summaries
-only the shape is checked. ``crimes-repro incident`` dumps and
+only the shape is checked (for the SLO trail, of every field the
+dashboard reads). ``crimes-repro incident`` dumps and
 validates a bundle from a canned canary-smash scenario;
 :class:`~repro.core.cloud.CloudHost` aggregates per-tenant bundles for
 multi-tenant incidents.
@@ -36,6 +37,7 @@ REQUIRED_KEYS = (
 
 _NONE = type(None)
 _NUMBER = (int, float)
+_OPTIONAL_NUMBER = (int, float, _NONE)
 
 _REQUIRED_TYPES = dict.fromkeys(REQUIRED_KEYS, object)
 #: The type of every field the validator, the vault and its finding
@@ -54,6 +56,15 @@ _EVENT_TYPES = {
 _FINDING_ATTR_TYPES = {"module": str, "finding_kind": str, "summary": str}
 _FINDING_TYPES = {"module": str, "kind": str, "severity": str,
                   "summary": str}
+#: The SLO trail fields ``summarize_trail`` reads — typed where present,
+#: since a stored trail feeds the case service's dashboard: the policy is
+#: an object of budgets, ``alerts`` the watchdog's breach count, and each
+#: evaluation's ``results`` a list of per-budget objects.
+_SLO_TYPES = {"policy": dict, "alerts": _NUMBER, "evaluations": list}
+_SLO_BUDGET_TYPES = {"limit": _OPTIONAL_NUMBER}
+_SLO_EVALUATION_TYPES = {"results": list}
+_SLO_RESULT_TYPES = {"budget": str}
+_SLO_RESULT_OPTIONAL = {"limit": _OPTIONAL_NUMBER, "value": _OPTIONAL_NUMBER}
 
 
 def _finding_to_dict(finding):
@@ -176,10 +187,12 @@ def _reject(code, message):
     raise err
 
 
-def _check(value, types, where, *args):
+def _check(value, types, where, *args, optional=None):
     """Reject ``value`` unless it is an object whose fields have ``types``.
 
-    ``where % args`` names the value in the rejection.
+    Every key of ``types`` must be present; a key of ``optional`` is
+    checked only where present. ``where % args`` names the value in the
+    rejection.
     """
     if not isinstance(value, dict):
         _reject("not-a-bundle", "%s must be a JSON object, got %s"
@@ -188,11 +201,27 @@ def _check(value, types, where, *args):
         _reject("missing-keys", "%s is missing keys: %s" % (
             where % args, ", ".join(key for key in types
                                     if key not in value)))
-    for key, kind in types.items():
-        if not isinstance(value[key], kind):
-            _reject("not-a-bundle", "%s: %s has the wrong type (%s)"
-                    % (where % args, key, type(value[key]).__name__))
+    for table in (types, optional or {}):
+        for key, kind in table.items():
+            if key in value and not isinstance(value[key], kind):
+                _reject("not-a-bundle", "%s: %s has the wrong type (%s)"
+                        % (where % args, key, type(value[key]).__name__))
     return value
+
+
+def _check_slo_trail(trail):
+    """Type every field of an SLO trail that ``summarize_trail`` reads."""
+    _check(trail, {}, "slo", optional=_SLO_TYPES)
+    for name, budget in trail.get("policy", {}).items():
+        _check(budget, {}, "slo.policy[%r]", name,
+               optional=_SLO_BUDGET_TYPES)
+    for index, evaluation in enumerate(trail.get("evaluations", ())):
+        _check(evaluation, {}, "slo.evaluations[%d]", index,
+               optional=_SLO_EVALUATION_TYPES)
+        for number, result in enumerate(evaluation.get("results", ())):
+            _check(result, _SLO_RESULT_TYPES,
+                   "slo.evaluations[%d].results[%d]", index, number,
+                   optional=_SLO_RESULT_OPTIONAL)
 
 
 def validate_incident_bundle(bundle):
@@ -215,6 +244,7 @@ def validate_incident_bundle(bundle):
                 "incident bundle schema %r != %r"
                 % (bundle["schema"], INCIDENT_SCHEMA))
     _check(bundle, _BUNDLE_TYPES, "incident bundle")
+    _check_slo_trail(bundle["slo"])
     flight = _check(bundle["flight"], _FLIGHT_TYPES, "flight")
     events = flight["events"]
     for index, event in enumerate(events):

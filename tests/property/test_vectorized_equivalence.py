@@ -16,12 +16,13 @@ import os
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.checkpoint.checkpointer import Checkpointer
 from repro.detectors.base import ScanContext
 from repro.detectors.canary import CanaryScanModule
-from repro.errors import IntrospectionError
+from repro.errors import CheckpointError, IntrospectionError
 from repro.faults import FaultPlan, FaultPlane, FaultSchedule
 from repro.faults.injector import FaultInjector
 from repro.guest.heap import CANARY_ENTRY, CANARY_TABLE_HEADER
@@ -405,29 +406,78 @@ _EPOCH_PLAN = st.lists(
         st.lists(st.tuples(st.integers(0, _CKPT_FRAMES - 1),
                            st.integers(1, 700), st.integers(0, 255)),
                  max_size=2),
-        st.sampled_from(["commit", "rollback", "restore+rollback"]),
+        # "held": a BACKUP_SYNC fault exhausts its retries, so the
+        # epoch stays staged and the next epoch merges into it.
+        st.sampled_from(["commit", "held", "rollback", "restore+rollback"]),
     ),
-    min_size=1, max_size=5,
+    min_size=1, max_size=10,
 )
 
 
-def _make_checkpointer(cls, history_capacity):
+class _SyncLoss:
+    """Loses the next backup sync, retries exhausted, once armed."""
+
+    def __init__(self):
+        self.injector = FaultInjector(FaultPlan.single(
+            FaultPlane.BACKUP_SYNC, FaultSchedule.persistent()))
+        self.injector.begin_epoch(1)
+        self.armed = False
+
+    def check(self, plane):
+        if plane is FaultPlane.BACKUP_SYNC and self.armed:
+            self.armed = False
+            return self.injector.check(plane)
+        return None
+
+    def retry(self, fault, site):
+        return self.injector.retry(fault, site)
+
+
+def _make_checkpointer(cls, history_capacity, injector=None):
     vm = LinuxGuest(name="prop-ckpt",
                     memory_bytes=_CKPT_FRAMES * PAGE_SIZE, seed=21)
     domain = Hypervisor(clock=vm.clock).create_domain(vm)
-    checkpointer = cls(domain, history_capacity=history_capacity)
+    checkpointer = cls(domain, history_capacity=history_capacity,
+                       injector=injector)
     checkpointer.start()
     return checkpointer
 
 
+def _assert_slots_accounted(checkpointer, largest_epoch):
+    """Every touched slab slot is in exactly one place — the live index,
+    one undo record, or the free stack — and the touched rows stay within
+    RAM plus (capacity + 1) of the largest staged epoch."""
+    backup = checkpointer._backup
+    undo = [refs for _pfns, refs in (entry[1] for entry in
+                                     checkpointer.history._entries
+                                     if entry[1] is not None)]
+    placed = np.concatenate([backup._index, *undo,
+                             backup._free[:backup._free_top]])
+    assert np.array_equal(np.sort(placed), np.arange(backup._high))
+    capacity = checkpointer.history.capacity
+    assert backup._high <= _CKPT_FRAMES + (capacity + 1) * largest_epoch
+    assert checkpointer.retained_bytes() == backup._high * PAGE_SIZE
+
+
+_HELD_THEN_MERGED = [([(3, 1)], [(0, 40, 7)], "held"),
+                     ([(900, 2)], [(20, 40, 8)], "commit")]
+
+
 @settings(max_examples=20, deadline=None)
-@given(plan=_EPOCH_PLAN, history=st.sampled_from([0, 2]))
+@given(plan=_EPOCH_PLAN, history=st.sampled_from([0, 1, 2, 8]))
+@example(plan=_HELD_THEN_MERGED, history=1)
+@example(plan=_HELD_THEN_MERGED * 3, history=8)
+@example(plan=[([(5, 1)], [(6 * step, 300, step)], "commit")
+               for step in range(10)], history=2)
 def test_checkpointer_matches_seed_paths(plan, history):
     """Fused stage + undo-record commit/rollback track the seed's full
-    copies: RAM, the backup and every retained history image."""
-    fast = _make_checkpointer(Checkpointer, history)
+    copies: RAM, the backup and every retained history image; no slab
+    slot is lost or shared, and eviction returns every undo slot."""
+    sync_loss = _SyncLoss()
+    fast = _make_checkpointer(Checkpointer, history, injector=sync_loss)
     reference = _make_checkpointer(LegacyCheckpointer, history)
 
+    largest_epoch = 0
     for writes, runs, action in plan:
         for checkpointer in (fast, reference):
             vm = checkpointer.domain.vm
@@ -440,8 +490,17 @@ def test_checkpointer_matches_seed_paths(plan, history):
                 vm.memory.write(first * PAGE_SIZE,
                                 bytes([byte]) * (frames * PAGE_SIZE))
             checkpointer.run_checkpoint(interval_ms=25.0)
+        largest_epoch = max(largest_epoch, len(fast.staged_pfns))
+        assert fast.staged_pfns == reference.staged_pfns
         if action == "commit":
             assert fast.commit() == reference.commit()
+        elif action == "held":
+            sync_loss.armed = True
+            with pytest.raises(CheckpointError, match="held"):
+                fast.commit()
+            # The seed reference has no fault seam: hold its epoch as
+            # the lost sync held the live one.
+            reference._pending_held = True
         else:
             for checkpointer in (fast, reference):
                 checkpointer.abort()
@@ -462,3 +521,9 @@ def test_checkpointer_matches_seed_paths(plan, history):
                 for entry in fast.history.all()] == \
             [(entry.epoch, entry.memory_image)
              for entry in reference.seed_history]
+        _assert_slots_accounted(fast, largest_epoch)
+
+    fast.release_store_refs()
+    _assert_slots_accounted(fast, largest_epoch)
+    assert len(fast.history) == 0
+    assert fast._backup._free_top == fast._backup._high - _CKPT_FRAMES

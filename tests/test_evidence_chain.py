@@ -32,7 +32,7 @@ from tests.integration.test_every_finding_reports import (
     CASES,
     HostileTaskList,
 )
-from tests.service.test_http import post
+from tests.service.test_http import get, post
 
 EPOCH_CHAIN_CODES = {"epoch-chain-empty", "epoch-chain-truncated",
                      "epoch-chain-out-of-ring"}
@@ -269,6 +269,25 @@ MALFORMED = {
                       "epoch-chain-truncated"),
     "link-number": (lambda b: b["epoch_chain"].__setitem__(0, 3),
                     "epoch-chain-truncated"),
+    # The SLO trail feeds the dashboard: every field it reads is typed.
+    "slo-policy-list": (lambda b: b["slo"].update(policy=[]),
+                        "not-a-bundle"),
+    "slo-budget-number": (lambda b: b["slo"]["policy"].update(p99=1),
+                          "not-a-bundle"),
+    "slo-alerts-string": (lambda b: b["slo"].update(alerts="3"),
+                          "not-a-bundle"),
+    "slo-evaluation-number": (lambda b: b["slo"].update(evaluations=[1]),
+                              "not-a-bundle"),
+    "slo-results-object": (
+        lambda b: b["slo"].update(evaluations=[{"results": {}}]),
+        "not-a-bundle"),
+    "slo-result-budget-number": (
+        lambda b: b["slo"].update(evaluations=[{"results": [{"budget": 5}]}]),
+        "not-a-bundle"),
+    "slo-result-value-string": (
+        lambda b: b["slo"].update(evaluations=[
+            {"results": [{"budget": "p99", "value": "9"}]}]),
+        "not-a-bundle"),
 }
 
 
@@ -322,6 +341,27 @@ class TestMalformedBundle:
         assert (service._rejected.value, service._errors.value) == \
             (rejected + 1, errors + 1)
         assert service.vault.case_ids() == []
+
+
+def test_a_rejected_slo_trail_leaves_the_dashboard_up(demo_bundle,
+                                                      tmp_path):
+    # One stored trail of the wrong shape used to make every later
+    # GET /slo raise inside summarize_trail.
+    svc = CaseService(CaseVault(tmp_path / "vault"), workers=1,
+                      seed=3).start()
+    try:
+        assert post(svc, "/cases", demo_bundle)[0] == 201
+        status, body = post(svc, "/cases",
+                            malformed(demo_bundle, "slo-evaluation-number"))
+        assert (status, json.loads(body)["error"]["code"]) == \
+            (400, "not-a-bundle")
+        assert [entry["kind"] for entry in svc.vault.audit_entries()] == \
+            ["vault.ingest", "vault.reject"]
+        status, body = get(svc, "/slo")
+        assert status == 200
+        assert json.loads(body)["fleet"]["cases"] == 1
+    finally:
+        svc.stop()
 
 
 def _fleet_export():
